@@ -60,8 +60,8 @@ fn bench_experiment_cell(c: &mut Criterion) {
 }
 
 fn bench_trial_batch(c: &mut Criterion) {
-    // The batched SoA engine against the legacy per-trial path on the
-    // same cell, n = 12 so a width-8 batch cycles the pool. Early
+    // The SoA cell engine at chunk widths 1 and 8 on the same cell,
+    // n = 12 so a width-8 batch cycles the pool. Early
     // stopping stays off (run_packets never stops): these rows measure
     // engine mechanics — SoA materialization, one-pass channel
     // kernels, windowed sync — not the stopping rule.

@@ -11,7 +11,7 @@
 //! Two implementations back every kernel:
 //!
 //! * a **scalar** path that is `to_bits`-identical to applying the
-//!   legacy per-trial functions ([`crate::awgn::add_noise`],
+//!   single-trial functions ([`crate::awgn::add_noise`],
 //!   [`Fading::apply_flat`], `IqBuf::freq_shift_in_place`) lane by
 //!   lane, and
 //! * an **AVX2+FMA** path (runtime-detected through
@@ -128,7 +128,7 @@ fn add_noise_lane_avx2<R: Rng>(rng: &mut R, samples: &mut [Complex64], sigma2: f
 }
 
 /// Scalar reference paths, exposed for the equivalence tests: apply the
-/// legacy per-trial kernels lane by lane in batch order.
+/// single-trial kernels lane by lane in batch order.
 #[cfg(test)]
 fn add_noise_batch_scalar<R: Rng>(rngs: &mut [R], lanes: &mut [IqBuf], noise_power: f64) {
     if noise_power <= 0.0 {

@@ -76,65 +76,67 @@ pub fn collect_scores<T: ScoredTrace + Sync>(
 /// trial under cell `"id/<label>"` — per-template correlation scores
 /// plus an `"ok"` / `"id_miss"` verdict from blind (argmax) matching
 /// against ground truth — so a miss dumps a bundle `paper replay` can
-/// reproduce. Labels must be unique per batch within a runner (the
-/// replay target is addressed by `(cell, index)`).
+/// reproduce. Recording happens per trace after its chunk is scored,
+/// so it never changes how traces are scored. Labels must be unique
+/// per batch within a runner (the replay target is addressed by
+/// `(cell, index)`).
 pub fn collect_scores_labeled<T: ScoredTrace + Sync>(
     matcher: &Matcher,
     traces: &[T],
     label: &str,
     seed: u64,
 ) -> Vec<LabeledScores> {
-    let out: Vec<Option<LabeledScores>> = if msc_obs::flight::armed() {
-        // Per-trace trial records need per-trace scoring; the flight
-        // recorder path stays trace-at-a-time.
-        let experiment = msc_obs::metrics::current_experiment();
-        let cell = format!("id/{label}");
-        let cellh = msc_par::hash_label(&cell);
-        msc_par::par_map_indexed(traces.len(), |i| {
-            let t = &traces[i];
-            msc_obs::flight::begin_trial(
-                &experiment,
-                &cell,
-                i as u64,
-                seed,
-                msc_par::derive_seed(seed, cellh, i as u64),
-                t.truth().label(),
-            );
-            let scored = matcher
-                .score_acquired(t.acquired(), t.jitter())
-                .map(|scores| LabeledScores { truth: t.truth(), scores });
-            match &scored {
-                Some(ls) => {
-                    for p in Protocol::ALL {
-                        msc_obs::flight::note_score(p.label(), ls.scores.get(p));
-                    }
-                    let verdict = if ls.scores.argmax() == t.truth() { "ok" } else { "id_miss" };
-                    msc_obs::flight::end_trial(verdict);
-                }
-                None => msc_obs::flight::end_trial("score_fail"),
+    let recording = msc_obs::flight::armed();
+    let experiment = if recording { msc_obs::metrics::current_experiment() } else { String::new() };
+    let cell = format!("id/{label}");
+    let cellh = msc_par::hash_label(&cell);
+    let n_chunks = traces.len().div_ceil(SCORE_CHUNK);
+    let chunks: Vec<Vec<Option<LabeledScores>>> = msc_par::par_map_indexed(n_chunks, |c| {
+        let lo = c * SCORE_CHUNK;
+        let hi = (lo + SCORE_CHUNK).min(traces.len());
+        let chunk = &traces[lo..hi];
+        let refs: Vec<(&[f64], isize)> = chunk.iter().map(|t| (t.acquired(), t.jitter())).collect();
+        let scored: Vec<Option<LabeledScores>> = matcher
+            .score_acquired_many(&refs)
+            .into_iter()
+            .zip(chunk)
+            .map(|(s, t)| s.map(|scores| LabeledScores { truth: t.truth(), scores }))
+            .collect();
+        if recording {
+            for (j, (ls, t)) in scored.iter().zip(chunk).enumerate() {
+                let i = (lo + j) as u64;
+                let derived = msc_par::derive_seed(seed, cellh, i);
+                msc_obs::flight::begin_trial(
+                    &experiment,
+                    &cell,
+                    i,
+                    seed,
+                    derived,
+                    t.truth().label(),
+                );
+                record_scores(ls.as_ref(), t.truth());
             }
-            scored
-        })
-    } else {
-        let n_chunks = traces.len().div_ceil(SCORE_CHUNK);
-        let chunks: Vec<Vec<Option<LabeledScores>>> = msc_par::par_map_indexed(n_chunks, |c| {
-            let lo = c * SCORE_CHUNK;
-            let hi = (lo + SCORE_CHUNK).min(traces.len());
-            let chunk = &traces[lo..hi];
-            let refs: Vec<(&[f64], isize)> =
-                chunk.iter().map(|t| (t.acquired(), t.jitter())).collect();
-            matcher
-                .score_acquired_many(&refs)
-                .into_iter()
-                .zip(chunk)
-                .map(|(s, t)| s.map(|scores| LabeledScores { truth: t.truth(), scores }))
-                .collect()
-        });
-        chunks.into_iter().flatten().collect()
-    };
+        }
+        scored
+    });
     msc_obs::progress::add_cell();
     msc_obs::progress::add_trials(traces.len() as u64);
-    out.into_iter().flatten().collect()
+    chunks.into_iter().flatten().flatten().collect()
+}
+
+/// Closes the open flight-recorder trial with one trace's scores and
+/// its blind-match verdict.
+fn record_scores(scored: Option<&LabeledScores>, truth: Protocol) {
+    use msc_obs::flight::{end_trial, note_score};
+    match scored {
+        Some(ls) => {
+            for p in Protocol::ALL {
+                note_score(p.label(), ls.scores.get(p));
+            }
+            end_trial(if ls.scores.argmax() == truth { "ok" } else { "id_miss" });
+        }
+        None => end_trial("score_fail"),
+    }
 }
 
 /// Per-protocol correct/total counts (in [`Protocol::ALL`] index order)

@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Whether the recorder is armed (the per-trial fast path).
+/// Whether the recorder is armed.
 static ARMED: AtomicBool = AtomicBool::new(false);
 
 /// Recorder knobs.
@@ -129,7 +129,8 @@ pub fn disarm() {
     ARMED.store(false, Ordering::Release);
 }
 
-/// The per-trial fast path: true when armed.
+/// True when armed. Callers use it only to skip recording work — never
+/// to pick what a run computes.
 #[inline(always)]
 pub fn armed() -> bool {
     ARMED.load(Ordering::Relaxed)

@@ -241,8 +241,13 @@ mod tests {
 
     #[test]
     fn derive_seed_is_stable_and_spread() {
-        // Stable: documented values must never change (results depend on it).
-        assert_eq!(derive_seed(42, 0, 0), derive_seed(42, 0, 0));
+        // Stable: golden values that must never change — every report,
+        // archive key, and flight bundle depends on them.
+        assert_eq!(derive_seed(42, 0, 0), 0x6310_bf04_d820_7f46);
+        assert_eq!(derive_seed(42, 1, 2), 0xecda_51fd_3d37_b4e5);
+        assert_eq!(derive_seed(0, 0, 0), 0x2382_75bc_38fc_be91);
+        assert_eq!(derive_seed(u64::MAX, u64::MAX, u64::MAX), 0x40aa_389b_a7cc_36a4);
+        assert_eq!(derive_seed(7, hash_label("fig13/zigbee/8m"), 5), 0x1805_4d9e_b61b_c54d);
         // Spread: nearby identities give unrelated seeds.
         let s: Vec<u64> = (0..64).map(|i| derive_seed(42, 1, i)).collect();
         for i in 0..s.len() {
@@ -257,7 +262,12 @@ mod tests {
     #[test]
     fn hash_label_distinguishes_labels() {
         assert_ne!(hash_label("fig13"), hash_label("fig14"));
-        assert_eq!(hash_label("ZigBee"), hash_label("ZigBee"));
+        // Golden FNV-1a values (the empty label is the offset basis).
+        assert_eq!(hash_label(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(hash_label("fig13"), 0x3d9f_8b7f_fea9_804d);
+        assert_eq!(hash_label("ZigBee"), 0xa387_ef14_ff9c_7f73);
+        assert_eq!(hash_label("id/fig8/train"), 0x0a79_c5dc_a0de_a312);
+        assert_eq!(hash_label("fig13/zigbee/8m"), 0xe59e_5e6f_a5ac_9ae2);
     }
 
     #[test]

@@ -32,29 +32,24 @@
 //! stage exceeds N µs.
 //!
 //! `replay <bundle.json>` re-runs exactly the trial a bundle describes
-//! (skipping all other cells) and verifies it reproduces the recorded
-//! scores and verdict — the determinism contract, exercised on demand.
+//! (a length-1 batch at the bundle's index; all other cells are
+//! skipped) and verifies it reproduces the recorded scores and verdict
+//! — the determinism contract, exercised on demand.
 //!
 //! `--threads N` sizes the Monte-Carlo worker pool (default: available
 //! parallelism). Results are bit-identical at any thread count — seeds
 //! derive per packet from `(seed, cell, index)`, never from a shared
 //! stream.
 //!
-//! `--batch N` sets the trial batch width of the SoA engine (default
-//! 8; any width > 1 is result-identical). `--batch 1` selects the
-//! legacy per-trial engine, byte-identical to the pre-batch pipeline.
-//! `--no-early-stop` disables adaptive per-cell early stopping so
-//! every cell runs its full trial count; early-stopped cells otherwise
-//! show `n=<used>/<requested>⏹` in the `--ci` column. Both knobs are
-//! recorded in the run manifest and feed the archive's config hash.
-//!
-//! The flight recorder instruments the per-trial path, so an armed
-//! recorder forces the legacy engine at full n. `--metrics-out` arms
-//! it by default (failure bundles keep working as documented);
-//! `--no-flight` skips arming so an archived run keeps the batched
-//! engine and early stopping. The manifest and archive record the
-//! *effective* engine, so a flight-armed run hashes as `legacy` —
-//! matching what actually executed.
+//! Every Monte-Carlo cell runs on one engine, the batched
+//! `TrialBatch`. `--no-early-stop` disables adaptive per-cell early
+//! stopping so every cell runs its full trial count; early-stopped
+//! cells otherwise show `n=<used>/<requested>⏹` in the `--ci` column.
+//! The knob is recorded in the run manifest and feeds the archive's
+//! config hash. `--metrics-out` arms the flight recorder, which records
+//! one trial per batch lane and never changes which trials run or what
+//! they compute. `n` and `seed` must be unsigned integers and the
+//! `MSC_*` knobs finite numbers in range; anything else exits 2.
 //!
 //! `--ci` appends a `±95%` column to every rendered table: each cell
 //! statistic's Wilson-interval half-width plus a `✓`/`?` convergence
@@ -86,7 +81,7 @@
 //! movement NOISE / SIGNIFICANT / NEW / GONE via 99% Wilson-interval
 //! overlap; `diff --baseline <dir>` compares `<dir>`'s newest archived
 //! run against the closest earlier archive entry. Exit code 1 means at
-//! least one SIGNIFICANT movement.
+//! least one SIGNIFICANT movement; 2 means nothing was compared.
 
 use msc_sim::experiments::{find, REGISTRY};
 use std::path::{Path, PathBuf};
@@ -94,9 +89,9 @@ use std::path::{Path, PathBuf};
 fn usage() -> ! {
     eprintln!(
         "usage: paper <experiment|all> [n] [seed] [--full] [--ci] [--trace] [--profile] \
-         [--threads N] [--batch N] [--no-early-stop] [--metrics-out <dir>] \
+         [--threads N] [--no-early-stop] [--metrics-out <dir>] \
          [--events <path|->] [--no-wave-cache] [--no-trace-cache] [--no-progress] \
-         [--flight-slow-us N] [--no-flight] [--fleet-phy]\n       paper list\n       \
+         [--flight-slow-us N] [--fleet-phy]\n       paper list\n       \
          paper replay <bundle.json> [--threads N] [--trace]\n       \
          paper fleet-replay <incident.json> [--threads N]\n       \
          paper diff <runA> <runB> [--only-moved]\n       \
@@ -119,6 +114,23 @@ fn run_list() {
     }
 }
 
+/// Positional argument `idx` parsed as `T`, or `default` when absent.
+/// An unparseable value is a usage error, never a silent default.
+fn positional_arg<T: std::str::FromStr>(
+    positional: &[String],
+    idx: usize,
+    what: &str,
+    default: T,
+) -> T {
+    match positional.get(idx) {
+        None => default,
+        Some(s) => s.parse().unwrap_or_else(|_| {
+            eprintln!("{what} must be an unsigned integer, got {s:?}\n");
+            usage()
+        }),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -132,7 +144,6 @@ fn main() {
     let mut baseline = false;
     let mut only_moved = false;
     let mut flight_slow_us = f64::INFINITY;
-    let mut no_flight = false;
     let mut metrics_out: Option<PathBuf> = None;
     let mut events_path: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
@@ -163,16 +174,6 @@ fn main() {
                 };
                 msc_par::set_threads(v);
             }
-            // Trial batch width for the SoA engine; 1 selects the
-            // legacy per-trial engine (byte-identical to the pre-batch
-            // pipeline at any thread count).
-            "--batch" => {
-                let Some(v) = it.next().and_then(|s| s.parse::<usize>().ok()) else {
-                    eprintln!("--batch needs a number\n");
-                    usage();
-                };
-                msc_sim::engine::set_batch(v);
-            }
             // Disable adaptive per-cell early stopping: every cell
             // runs its full trial count.
             "--no-early-stop" => msc_sim::engine::set_early_stop(false),
@@ -181,10 +182,6 @@ fn main() {
             // pipeline (fleet experiments only; changes report notes,
             // so it feeds the archive config hash).
             "--fleet-phy" => msc_sim::experiments::fleet::set_phy_check(true),
-            // Skip arming the flight recorder under --metrics-out so
-            // the archived run keeps the batched engine (an armed
-            // recorder forces the legacy per-trial path).
-            "--no-flight" => no_flight = true,
             "--flight-slow-us" => {
                 let Some(v) = it.next().and_then(|s| s.parse::<f64>().ok()) else {
                     eprintln!("--flight-slow-us needs a number (µs)\n");
@@ -242,9 +239,9 @@ fn main() {
         std::process::exit(run_diff(&positional[1..], baseline, only_moved));
     }
 
-    let n: usize =
-        positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(if full { 60 } else { 12 });
-    let seed: u64 = positional.get(2).and_then(|s| s.parse().ok()).unwrap_or(42);
+    let n: usize = positional_arg(&positional, 1, "n", if full { 60 } else { 12 });
+    let seed: u64 = positional_arg(&positional, 2, "seed", 42);
+    msc_sim::engine::check_knobs();
 
     if trace {
         msc_obs::trace::install(std::sync::Arc::new(msc_obs::trace::StderrSubscriber));
@@ -258,31 +255,17 @@ fn main() {
     msc_sim::experiments::fleet::set_trace(events_path.is_some() || metrics_out.is_some());
     // With `--events -` the stream owns stdout; tables move to stderr.
     let events_stdout = events_path.as_deref() == Some("-");
-    let flight_armed = metrics_out.is_some() && !no_flight;
-    // The pipeline falls back to the legacy per-trial engine at full n
-    // whenever the flight recorder is armed (its hooks instrument that
-    // path); record the engine that actually runs, not the knobs.
-    let eff_batch = if flight_armed { 1 } else { msc_sim::engine::batch() };
-    let eff_early_stop = msc_sim::engine::early_stop() && !flight_armed;
-    if flight_armed && msc_sim::engine::batch() > 1 {
-        eprintln!(
-            "[flight] recorder armed: legacy per-trial engine in effect \
-             (pass --no-flight to keep the batched engine)"
-        );
-    }
     let mut manifest = if metrics_out.is_some() {
         msc_obs::metrics::Registry::global().reset();
         msc_obs::metrics::enable();
-        if flight_armed {
-            msc_obs::flight::arm(msc_obs::flight::FlightConfig {
-                slow_stage_us: flight_slow_us,
-                ..Default::default()
-            });
-        }
+        msc_obs::flight::arm(msc_obs::flight::FlightConfig {
+            slow_stage_us: flight_slow_us,
+            ..Default::default()
+        });
         Some(
             msc_obs::RunManifest::start(std::path::Path::new("."), n, seed, full)
                 .with_threads(msc_par::threads())
-                .with_engine(eff_batch, eff_early_stop),
+                .with_early_stop(msc_sim::engine::early_stop()),
         )
     } else {
         None
@@ -389,9 +372,7 @@ fn main() {
             eprintln!("failed to create {}: {e}", dir.display());
             std::process::exit(1);
         }
-        if flight_armed {
-            write_flight_bundles(dir, n);
-        }
+        write_flight_bundles(dir, n);
         write_fleet_incidents(dir);
         // Steady-state cache effectiveness: FFT-plan/scratch registry
         // counters, the waveform cache, and the worker pool / flight /
@@ -450,12 +431,9 @@ fn main() {
             ("n", n.to_string()),
             ("full", full.to_string()),
             ("perturb_margin_db", format!("{}", msc_sim::pipeline::perturb_margin_db())),
-            // Engine knobs that can move a cell: batched vs legacy
-            // engine (any width > 1 is result-identical, so only the
-            // kind is hashed) and early stopping — the *effective*
-            // values, since an armed flight recorder forces legacy.
-            ("engine", if eff_batch > 1 { "batched" } else { "legacy" }.to_string()),
-            ("early_stop", eff_early_stop.to_string()),
+            // Early stopping changes trial counts (batch width and
+            // the flight recorder change nothing, so neither is hashed).
+            ("early_stop", msc_sim::engine::early_stop().to_string()),
             // Fleet knobs: the horizon scales every fleet count and the
             // phy-check pass appends validation notes.
             ("fleet_horizon", format!("{}", msc_sim::experiments::fleet::horizon_s())),
@@ -648,7 +626,8 @@ fn write_profile(dir: Option<&std::path::Path>) {
 /// JSONs; `--baseline` instead takes one `--metrics-out` directory and
 /// compares its newest archived run against the closest earlier archive
 /// entry. Exit codes: 0 — every movement within noise, 1 — at least one
-/// SIGNIFICANT movement, 2 — operand or parse errors.
+/// SIGNIFICANT movement, 2 — operand or parse errors, or no report
+/// compared.
 fn run_diff(operands: &[String], baseline: bool, only_moved: bool) -> i32 {
     use msc_obs::diff;
     let mut total = diff::DiffSummary::default();
@@ -746,7 +725,11 @@ fn run_diff(operands: &[String], baseline: bool, only_moved: bool) -> i32 {
         }
     }
     println!("diff total over {compared} report(s): {}", total.line());
-    if total.significant > 0 {
+    if compared == 0 {
+        // Nothing joined: "0 SIGNIFICANT" would be a pass by default.
+        eprintln!("diff compared no reports — the runs share no experiment");
+        2
+    } else if total.significant > 0 {
         1
     } else {
         0

@@ -98,16 +98,9 @@ const INCIDENT_EVENT_CAP: usize = 512;
 /// (seconds without a delivery before a tag counts as starved) and
 /// `MSC_FLEET_COLLISION_RATE` (per-window collision fraction).
 fn detectors() -> Detectors {
-    let env = |name: &str, default: f64| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&v: &f64| v > 0.0)
-            .unwrap_or(default)
-    };
     Detectors {
-        starve_s: env("MSC_FLEET_STARVE_S", 30.0),
-        collision_rate: env("MSC_FLEET_COLLISION_RATE", 0.5),
+        starve_s: crate::engine::FLEET_STARVE_S.get(),
+        collision_rate: crate::engine::FLEET_COLLISION_RATE.get(),
         min_attempts: 50,
     }
 }
@@ -117,13 +110,7 @@ fn detectors() -> Detectors {
 /// and smoke jobs shrink it; the default covers ≥ 1M carrier packets.
 pub fn horizon_s() -> f64 {
     static H: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
-    *H.get_or_init(|| {
-        std::env::var("MSC_FLEET_HORIZON_S")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&v: &f64| v > 0.0)
-            .unwrap_or(180.0)
-    })
+    *H.get_or_init(|| crate::engine::FLEET_HORIZON_S.get())
 }
 
 /// The paper's four ambient carriers as saturated/ambient arrival

@@ -51,12 +51,7 @@ pub fn rx_impl_margin_db(p: Protocol) -> f64 {
 /// ones. Read once per process.
 pub fn perturb_margin_db() -> f64 {
     static PERTURB: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
-    *PERTURB.get_or_init(|| {
-        std::env::var("MSC_PERTURB_MARGIN_DB")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(0.0)
-    })
+    *PERTURB.get_or_init(|| crate::engine::PERTURB_MARGIN_DB.get())
 }
 
 /// A geometric deployment for one measurement.
@@ -145,24 +140,18 @@ pub fn apply_uplink<R: Rng>(rng: &mut R, wave: &IqBuf, snr_db: f64, fading: Fadi
 /// Applies the uplink channel with the full impairment set.
 pub fn apply_uplink_impaired<R: Rng>(rng: &mut R, wave: &IqBuf, imp: Impairments) -> IqBuf {
     let mut out = wave.clone();
-    apply_uplink_in_place(rng, &mut out, imp);
-    out
-}
-
-/// [`apply_uplink_impaired`] mutating `wave` directly — the zero-copy
-/// path for trial buffers that are reused packet to packet.
-pub fn apply_uplink_in_place<R: Rng>(rng: &mut R, wave: &mut IqBuf, imp: Impairments) {
-    let p = wave.mean_power();
+    let p = out.mean_power();
     if p > 0.0 {
-        wave.scale(1.0 / p.sqrt());
+        out.scale(1.0 / p.sqrt());
     }
     if imp.cfo_hz != 0.0 {
-        wave.freq_shift_in_place(imp.cfo_hz);
+        out.freq_shift_in_place(imp.cfo_hz);
     }
-    imp.fading.apply_flat(rng, wave.samples_mut());
+    imp.fading.apply_flat(rng, out.samples_mut());
     // Signal mean power |h|^2; noise set against the *average* signal
     // power so fading dips genuinely hurt.
-    add_noise(rng, wave, 1.0 / db_to_lin(imp.snr_db));
+    add_noise(rng, &mut out, 1.0 / db_to_lin(imp.snr_db));
+    out
 }
 
 /// One protocol's overlay link endpoints, type-erased for the runner.
@@ -251,6 +240,11 @@ impl AnyLink {
     }
 
     /// Decodes a received waveform.
+    ///
+    /// Kept out of line: inlined into [`TrialBatch::decode_into`], its
+    /// only engine caller, it slowed 802.11n decode by about a third
+    /// (perfbench `link`, `rx.decode_s.11n`).
+    #[inline(never)]
     pub fn decode(
         &self,
         rx: &IqBuf,
@@ -385,14 +379,20 @@ fn score_decode(
     }
 }
 
-thread_local! {
-    /// Per-thread packet buffer for [`run_packet_shared`]: tag overlay,
-    /// channel, and noise are applied into this one allocation, reused
-    /// packet to packet.
-    static PKT_BUF: std::cell::RefCell<IqBuf> =
-        std::cell::RefCell::new(IqBuf::empty(msc_dsp::SampleRate::hz(1.0)));
+/// Closes the open flight-recorder trial with a packet's scores and
+/// verdict.
+fn record_outcome(outcome: &PacketOutcome) {
+    use msc_obs::flight::{end_trial, note_score};
+    note_score("tag_errors", outcome.tag_errors as f64);
+    note_score("tag_bits", outcome.tag_bits as f64);
+    note_score("productive_errors", outcome.productive_errors as f64);
+    note_score("productive_units", outcome.productive_units as f64);
+    note_score("tag_ber", outcome.tag_ber());
+    end_trial(if outcome.decoded { "ok" } else { "decode_fail" });
+}
 
-    /// Per-thread [`TrialBatch`] pool for the batched engine: lane
+thread_local! {
+    /// Per-thread [`TrialBatch`] pool for the cell engine: lane
     /// buffers, RNG vectors, and the flat tag-bit store are reused
     /// batch to batch, so the steady-state materialize + channel loop
     /// performs zero allocations (asserted by `alloc_guard`).
@@ -400,7 +400,7 @@ thread_local! {
 }
 
 /// Sync-window radius (samples) handed to demodulators via
-/// [`msc_phy::fastsync`] on the batched path: the engine's trial
+/// [`msc_phy::fastsync`] by the cell engine: its trial
 /// buffers carry the frame at offset zero with at most a couple of
 /// samples of matched-filter ambiguity under noise.
 const FAST_SYNC_RADIUS: usize = 8;
@@ -411,17 +411,18 @@ const FAST_SYNC_RADIUS: usize = 8;
 ///
 /// Per-trial randomness is preserved exactly: lane `l` of a batch
 /// starting at trial `start` seeds its RNG with
-/// `derive_seed(seed, cell, start + l)`, the same stream the legacy
-/// per-trial path uses, so outcomes remain a function of
-/// `(seed, cell, index)` at any batch width and thread count.
+/// `derive_seed(seed, cell, start + l)`, so outcomes are a function of
+/// `(seed, cell, index)` at any batch width and thread count — a
+/// length-1 batch at `index` reproduces that lane exactly, which is
+/// how `paper replay` rebuilds one trial.
 ///
 /// The channel stream is either the continuation of the lane's tag-bit
-/// stream (legacy order: tag bits → fading → noise) or, when a
-/// common-random-number group is supplied, a stream derived from the
-/// group label instead of the cell label — sweep-axis neighbors (e.g.
-/// the distance grid of Fig. 13) then share channel realizations per
-/// trial index, which cancels channel luck out of adjacent-cell
-/// comparisons while tag payloads stay cell-specific.
+/// stream (tag bits → fading → noise) or, when a common-random-number
+/// group is supplied, a stream derived from the group label instead of
+/// the cell label — sweep-axis neighbors (e.g. the distance grid of
+/// Fig. 13) then share channel realizations per trial index, which
+/// cancels channel luck out of adjacent-cell comparisons while tag
+/// payloads stay cell-specific.
 pub struct TrialBatch {
     lanes: Vec<IqBuf>,
     rngs: Vec<StdRng>,
@@ -429,6 +430,11 @@ pub struct TrialBatch {
     tag_bits: Vec<u8>,
     cap: usize,
     count: usize,
+    /// Identity of lane 0 — `(seed, cell hash, trial index)` — for the
+    /// flight recorder's per-lane records.
+    seed: u64,
+    cellh: u64,
+    start: u64,
 }
 
 impl Default for TrialBatch {
@@ -447,6 +453,9 @@ impl TrialBatch {
             tag_bits: Vec::new(),
             cap: 0,
             count: 0,
+            seed: 0,
+            cellh: 0,
+            start: 0,
         }
     }
 
@@ -472,6 +481,7 @@ impl TrialBatch {
     ) {
         self.cap = exc.tag_capacity;
         self.count = count;
+        (self.seed, self.cellh, self.start) = (seed, cellh, start);
         self.tag_bits.clear();
         self.rngs.clear();
         self.ch_rngs.clear();
@@ -511,7 +521,10 @@ impl TrialBatch {
     }
 
     /// Decodes and scores every lane (under the engine's sync-window
-    /// hint), appending outcomes to `out` in trial order.
+    /// hint), appending outcomes to `out` in trial order. With the
+    /// flight recorder armed, each lane is also recorded as one trial:
+    /// derived seed, decode stage time, scores, and verdict. Recording
+    /// only observes — the lanes decode identically either way.
     pub fn decode_into(
         &self,
         link: &AnyLink,
@@ -520,7 +533,14 @@ impl TrialBatch {
         out: &mut Vec<PacketOutcome>,
     ) {
         let label = link.protocol().label();
+        let recording = msc_obs::flight::armed();
+        let experiment = if recording { metrics::current_experiment() } else { String::new() };
         for l in 0..self.count {
+            if recording {
+                let i = self.start + l as u64;
+                let derived = msc_par::derive_seed(self.seed, self.cellh, i);
+                msc_obs::flight::begin_trial(&experiment, &exc.cell, i, self.seed, derived, label);
+            }
             metrics::hist_observe("pipe.snr_db", label, "uplink", snr_db, buckets::SNR_DB);
             metrics::counter_add("pipe.packets", label, "", 1);
             let result = metrics::time_stage(label, "decode", || {
@@ -530,6 +550,9 @@ impl TrialBatch {
             });
             let bits = &self.tag_bits[l * self.cap..(l + 1) * self.cap];
             let outcome = score_decode(label, result, bits, &exc.productive);
+            if recording {
+                record_outcome(&outcome);
+            }
             metrics::hist_observe("pipe.tag_ber", label, "", outcome.tag_ber(), buckets::BER);
             msc_obs::event!(
                 "pipe.packet",
@@ -549,8 +572,8 @@ pub struct StopPolicy<'a> {
     /// `min_n` from the registry).
     pub floor: usize,
     /// Common-random-number group label: cells passing the same group
-    /// share per-index channel RNG streams on the batched engine.
-    /// Typically the cell label minus the sweep axis.
+    /// share per-index channel RNG streams. Typically the cell label
+    /// minus the sweep axis.
     pub crn_group: Option<&'a str>,
     /// Returns `true` when the outcomes so far decide the cell's
     /// verdict beyond doubt (both directions must be covered — e.g.
@@ -575,56 +598,9 @@ fn checkpoints(n: usize, floor: usize) -> Vec<usize> {
     plan
 }
 
-/// Runs one trial of an experiment cell against the cell's shared
-/// excitation.
-///
-/// The clean carrier is *not* resynthesized: the tag overlay is written
-/// into a thread-local buffer ([`msc_core::TagOverlayModulator::modulate_into`]),
-/// and fading/CFO/noise are applied in place. Per-trial randomness
-/// consumes `rng` in the order: tag bits, fading gain, noise — the
-/// payload is fixed per cell, so outcomes depend only on
-/// `(seed, cell, index)` exactly as [`run_packet`] outcomes do.
-pub fn run_packet_shared<R: Rng>(
-    rng: &mut R,
-    link: &AnyLink,
-    geometry: &Geometry,
-    mode: Mode,
-    exc: &crate::wavecache::CellExcitation,
-) -> PacketOutcome {
-    let p = link.protocol();
-    let label = p.label();
-    let tag_bits: Vec<u8> = (0..exc.tag_capacity).map(|_| rng.gen_range(0..=1)).collect();
-    let modulator = TagOverlayModulator::new(p, params_for(p, mode));
-
-    let snr = geometry.uplink_snr_db(p);
-    metrics::hist_observe("pipe.snr_db", label, "uplink", snr, buckets::SNR_DB);
-
-    let outcome = PKT_BUF.with(|b| {
-        let mut buf = b.borrow_mut();
-        metrics::time_stage(label, "modulate", || {
-            modulator.modulate_into(&exc.carrier, exc.payload_start, &tag_bits, &mut buf)
-        });
-        metrics::time_stage(label, "channel", || {
-            apply_uplink_in_place(rng, &mut buf, Impairments::snr(snr, geometry.fading))
-        });
-        metrics::counter_add("pipe.packets", label, "", 1);
-        let result =
-            metrics::time_stage(label, "decode", || link.decode(&buf, exc.productive.len()));
-        score_decode(label, result, &tag_bits, &exc.productive)
-    });
-    metrics::hist_observe("pipe.tag_ber", label, "", outcome.tag_ber(), buckets::BER);
-    msc_obs::event!(
-        "pipe.packet",
-        protocol = label,
-        snr_db = format_args!("{snr:.1}"),
-        decoded = outcome.decoded,
-        tag_ber = format_args!("{:.3}", outcome.tag_ber())
-    );
-    outcome
-}
-
 /// Runs `n` independent Monte-Carlo packets of one experiment cell on
-/// the `msc-par` pool.
+/// the `msc-par` pool, in [`TrialBatch`] chunks of
+/// [`crate::engine::batch`] trials.
 ///
 /// The cell's clean excitation is prepared exactly once
 /// ([`crate::wavecache::CellExcitation`]): the productive payload comes
@@ -632,8 +608,9 @@ pub fn run_packet_shared<R: Rng>(
 /// carrier is shared read-only across trials and threads. Each packet
 /// then draws its tag bits and channel realization from its own RNG
 /// seeded by `(seed, cell, index)`, so the outcomes — and therefore
-/// every downstream table — are bit-identical at any thread count,
-/// including 1, and with the waveform cache on or off. `cell` names the
+/// every downstream table — are bit-identical at any thread count and
+/// batch width, with the waveform cache on or off, and with the flight
+/// recorder armed or not. `cell` names the
 /// experiment cell (e.g. `"fig13/zigbee/8m"`) and keeps seeds disjoint
 /// across cells that share a numeric seed.
 pub fn run_packets(
@@ -679,18 +656,15 @@ fn run_packets_inner(
     cell: &str,
     policy: Option<&StopPolicy>,
 ) -> Vec<PacketOutcome> {
-    // Replay fast path: when a flight-recorder replay targets one
-    // specific trial, every other cell (and every other index) is
-    // skipped outright — per-trial seed derivation means the target
-    // trial doesn't depend on them. The placeholders only feed a
-    // report the replay machinery discards.
+    // A replay run narrows the trial range, not the engine: its target
+    // cell rebuilds the one trial under investigation as a length-1
+    // batch at the bundle's index; every other cell runs no trials.
+    // Only the target's flight record matters, and the report the
+    // runner builds from these outcomes is discarded.
     let replay = msc_obs::flight::replay_target();
-    if let Some((target_cell, _)) = &replay {
-        if target_cell != cell {
-            return (0..n).map(|_| placeholder_outcome()).collect();
-        }
+    if replay.as_ref().is_some_and(|(target_cell, _)| target_cell != cell) {
+        return Vec::new();
     }
-    let target_index = replay.map(|(_, i)| i);
 
     // Cell boundary events run on the (sequential) per-cell caller
     // thread, so their order — and every field before "wall" — is
@@ -713,89 +687,51 @@ fn run_packets_inner(
     };
     let label = link.protocol().label();
     let cellh = msc_par::hash_label(cell);
-    let flight = msc_obs::flight::armed();
-    let experiment = if flight { metrics::current_experiment() } else { String::new() };
-
-    // The flight recorder and replay instrument the per-trial path and
-    // must see every trial, so both force the legacy engine at full n.
+    // Cells of one CRN group draw their channel streams from the group
+    // label, with or without early stopping, so stopping changes trial
+    // counts only.
+    let crn_hash = policy.and_then(|p| p.crn_group).map(msc_par::hash_label);
+    let snr = geometry.uplink_snr_db(link.protocol());
     let batch = crate::engine::batch();
-    let batched = batch > 1 && !flight && target_index.is_none();
-    let stopping =
-        policy.filter(|_| crate::engine::early_stop() && !flight && target_index.is_none());
+
+    // Trials `start..start + count`, in `batch`-wide chunks on the pool.
+    let run_trials = |start: u64, count: usize| -> Vec<PacketOutcome> {
+        let chunks = msc_par::par_map_indexed(count.div_ceil(batch), |b| {
+            let lo = start + (b * batch) as u64;
+            let len = batch.min(count - b * batch);
+            BATCH_POOL.with(|tb| {
+                let mut tb = tb.borrow_mut();
+                let modulator =
+                    TagOverlayModulator::new(link.protocol(), params_for(link.protocol(), mode));
+                metrics::time_stage(label, "modulate", || {
+                    tb.materialize(&modulator, &exc, seed, cellh, crn_hash, lo, len)
+                });
+                metrics::time_stage(label, "channel", || {
+                    tb.apply_channel(Impairments::snr(snr, geometry.fading))
+                });
+                let mut wave = Vec::with_capacity(len);
+                tb.decode_into(link, &exc, snr, &mut wave);
+                wave
+            })
+        });
+        chunks.into_iter().flatten().collect()
+    };
+    if let Some((_, index)) = replay {
+        return run_trials(index, 1);
+    }
+
+    let stopping = policy.filter(|_| crate::engine::early_stop());
     let plan = match stopping {
         Some(p) => checkpoints(n, p.floor),
         None => vec![n],
     };
-    // CRN rides the batched engine (whose results are already allowed
-    // to differ from legacy); with `--no-early-stop` the same streams
-    // are used, so stopping changes trial counts only.
-    let crn_hash =
-        if batched { policy.and_then(|p| p.crn_group).map(msc_par::hash_label) } else { None };
-    let snr = geometry.uplink_snr_db(link.protocol());
-
     let mut outs: Vec<PacketOutcome> = Vec::with_capacity(n);
     for &target in &plan {
         let count = target - outs.len();
-        let start = outs.len() as u64;
         if count == 0 {
             continue;
         }
-        if batched {
-            let chunks = msc_par::par_map_indexed(count.div_ceil(batch), |b| {
-                let lo = start + (b * batch) as u64;
-                let len = batch.min(count - b * batch);
-                BATCH_POOL.with(|tb| {
-                    let mut tb = tb.borrow_mut();
-                    let modulator = TagOverlayModulator::new(
-                        link.protocol(),
-                        params_for(link.protocol(), mode),
-                    );
-                    metrics::time_stage(label, "modulate", || {
-                        tb.materialize(&modulator, &exc, seed, cellh, crn_hash, lo, len)
-                    });
-                    metrics::time_stage(label, "channel", || {
-                        tb.apply_channel(Impairments::snr(snr, geometry.fading))
-                    });
-                    let mut wave = Vec::with_capacity(len);
-                    tb.decode_into(link, &exc, snr, &mut wave);
-                    wave
-                })
-            });
-            for c in chunks {
-                outs.extend(c);
-            }
-        } else {
-            let wave = msc_par::par_map_indexed(count, |j| {
-                let i = start + j as u64;
-                if let Some(ti) = target_index {
-                    if i != ti {
-                        return placeholder_outcome();
-                    }
-                }
-                let derived = msc_par::derive_seed(seed, cellh, i);
-                if flight {
-                    msc_obs::flight::begin_trial(&experiment, cell, i, seed, derived, label);
-                }
-                let mut rng = StdRng::seed_from_u64(derived);
-                let outcome = run_packet_shared(&mut rng, link, geometry, mode, &exc);
-                if flight {
-                    msc_obs::flight::note_score("tag_errors", outcome.tag_errors as f64);
-                    msc_obs::flight::note_score("tag_bits", outcome.tag_bits as f64);
-                    msc_obs::flight::note_score(
-                        "productive_errors",
-                        outcome.productive_errors as f64,
-                    );
-                    msc_obs::flight::note_score(
-                        "productive_units",
-                        outcome.productive_units as f64,
-                    );
-                    msc_obs::flight::note_score("tag_ber", outcome.tag_ber());
-                    msc_obs::flight::end_trial(if outcome.decoded { "ok" } else { "decode_fail" });
-                }
-                outcome
-            });
-            outs.extend(wave);
-        }
+        outs.extend(run_trials(outs.len() as u64, count));
         if let Some(p) = stopping {
             if outs.len() < n && (p.decide)(&outs) {
                 if msc_obs::events::enabled() {
@@ -827,19 +763,6 @@ fn run_packets_inner(
         );
     }
     outs
-}
-
-/// The stand-in outcome for trials a replay run skips. Never reaches a
-/// report a caller keeps: replay discards the experiment's report and
-/// reads only the captured target trial.
-fn placeholder_outcome() -> PacketOutcome {
-    PacketOutcome {
-        decoded: true,
-        tag_errors: 0,
-        tag_bits: 0,
-        productive_errors: 0,
-        productive_units: 0,
-    }
 }
 
 #[cfg(test)]
@@ -903,11 +826,12 @@ mod tests {
 
     #[test]
     fn batched_outcomes_are_invariant_to_batch_width() {
-        // Any width > 1 routes through the same SoA engine with
-        // identical per-lane streams; only the chunking differs.
+        // Every width runs the same SoA engine with identical per-lane
+        // streams; only the chunking differs. Width 1 is the length-1
+        // batch `paper replay` rebuilds a single trial with.
         let link = AnyLink::new(Protocol::Ble, Mode::Mode1);
         let geo = Geometry::los(12.0);
-        let runs: Vec<Vec<PacketOutcome>> = [2usize, 5, 8]
+        let runs: Vec<Vec<PacketOutcome>> = [1usize, 2, 5, 8, 32]
             .iter()
             .map(|&b| {
                 crate::engine::set_batch(b);

@@ -1,14 +1,19 @@
 //! Deterministic replay of flight-recorder bundles (`paper replay`).
 //!
 //! A bundle pins `(experiment, n, seed, cell, index)`. Replay re-runs
-//! the whole experiment runner with the flight recorder armed and the
-//! bundle's `(cell, index)` set as the capture target; the packet
-//! pipeline skips every non-target cell and trial (cheap placeholders),
-//! so only the trial under investigation does real work. Because every
-//! trial's RNG derives from `derive_seed(seed, hash_label(cell),
-//! index)` and never from shared state, the captured record must
-//! reproduce the bundle's scores and verdict bit-for-bit — at any
-//! thread count. A mismatch means the determinism contract is broken.
+//! the experiment runner with the flight recorder armed and the
+//! bundle's `(cell, index)` set as the capture target. The cell engine
+//! runs no trials in any other cell and rebuilds the target as a
+//! length-1 `TrialBatch` at the bundle's index, under the same
+//! common-random-number key, so only the trial under investigation
+//! does real work and early stopping cannot hide it. Identification
+//! cells (`id/...`) are scored in full, as in the original run.
+//! Because every trial's RNG derives from `derive_seed(seed,
+//! hash_label(cell), index)` and never from shared state, the captured
+//! record must reproduce the bundle's scores and verdict bit-for-bit —
+//! at any thread count and batch width. A mismatch means the
+//! determinism contract is broken. Bundles written before the cell
+//! engine was unified (by the per-trial engine) do not reproduce.
 
 use crate::experiments;
 use msc_obs::flight::{self, Bundle, FlightConfig, TrialRecord};

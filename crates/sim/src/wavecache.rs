@@ -100,6 +100,8 @@ pub fn waveform_cache_len() -> usize {
 /// its clean carrier, synthesized (or fetched) exactly once and shared
 /// read-only across all trials and worker threads.
 pub struct CellExcitation {
+    /// The cell label it was prepared for (flight records name it).
+    pub cell: String,
     /// The protocol this excitation runs.
     pub protocol: Protocol,
     /// The cell's productive payload units (bits; 4-bit symbols for
@@ -167,6 +169,7 @@ impl CellExcitation {
         let payload_start =
             (payload_start_seconds(protocol) * carrier.rate().as_hz()).round() as usize;
         CellExcitation {
+            cell: cell.to_string(),
             protocol,
             tag_capacity: link.tag_capacity(n_productive),
             payload_start,

@@ -1,19 +1,18 @@
 //! Steady-state allocation guard for the packet hot path.
 //!
-//! With the waveform cache, the FFT-plan/scratch registry, and the
-//! thread-local packet buffer all warm, one end-to-end packet should
-//! allocate only its small, unavoidable outputs (tag bits, decoded
-//! streams, outcome). This test counts allocator calls around one
-//! representative packet — cold versus steady-state — and exports the
+//! With the waveform cache, the FFT-plan/scratch registry, and a
+//! [`TrialBatch`] all warm, one end-to-end packet should allocate only
+//! its small, unavoidable outputs (decoded streams, outcome). This test
+//! counts allocator calls around one representative packet — a warm
+//! length-1 batch versus a packet that synthesizes its carrier — and
+//! exports the
 //! steady-state count through `msc-obs` so regressions show up in the
 //! metrics dump, not just here.
 
 use msc_core::overlay::{params_for, Mode};
 use msc_core::TagOverlayModulator;
 use msc_phy::protocol::Protocol;
-use msc_sim::pipeline::{
-    run_packet, run_packet_shared, AnyLink, Geometry, Impairments, TrialBatch,
-};
+use msc_sim::pipeline::{run_packet, AnyLink, Geometry, Impairments, PacketOutcome, TrialBatch};
 use msc_sim::wavecache::CellExcitation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,16 +67,29 @@ fn steady_state_packet_allocates_far_less_than_cold() {
     let link = AnyLink::new(Protocol::Ble, Mode::Mode1);
     let geo = Geometry::los(4.0);
     let exc = CellExcitation::prepare(&link, Mode::Mode1, 16, 42, "alloc-guard/cell");
-    let mut rng = StdRng::seed_from_u64(7);
+    let p = link.protocol();
+    let modulator = TagOverlayModulator::new(p, params_for(p, Mode::Mode1));
+    let cellh = msc_par::hash_label("alloc-guard/cell");
+    let snr = geo.uplink_snr_db(p);
+    let mut tb = TrialBatch::new();
+    let mut outs: Vec<PacketOutcome> = Vec::with_capacity(8);
+    // One trial as the cell engine runs it: a length-1 batch.
+    let mut packet = |i: u64, outs: &mut Vec<PacketOutcome>| {
+        outs.clear();
+        tb.materialize(&modulator, &exc, 42, cellh, None, i, 1);
+        tb.apply_channel(Impairments::snr(snr, geo.fading));
+        tb.decode_into(&link, &exc, snr, outs);
+    };
 
-    // Warm the plan caches, scratch pools, and packet buffer, then
+    // Warm the plan caches, scratch pools, and batch buffers, then
     // measure one representative steady-state packet.
-    let out = run_packet_shared(&mut rng, &link, &geo, Mode::Mode1, &exc);
-    assert!(out.decoded, "BLE at 4 m must decode");
-    for _ in 0..3 {
-        run_packet_shared(&mut rng, &link, &geo, Mode::Mode1, &exc);
+    packet(0, &mut outs);
+    assert!(outs[0].decoded, "BLE at 4 m must decode");
+    for i in 1..4 {
+        packet(i, &mut outs);
     }
-    let (warm, _) = count_allocs(|| run_packet_shared(&mut rng, &link, &geo, Mode::Mode1, &exc));
+    let (warm, _) = count_allocs(|| packet(4, &mut outs));
+    let mut rng = StdRng::seed_from_u64(7);
 
     // A packet that resynthesizes its carrier (the pre-cache hot path)
     // allocates far more than a shared-excitation packet.

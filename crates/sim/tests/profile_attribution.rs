@@ -8,10 +8,11 @@ use msc_obs::profile;
 fn profile_attributes_wall_clock_without_changing_results() {
     let _guard = profile::tests_serial();
     msc_par::set_threads(2);
-    // The batched engine folds this small early-stopped run into a
+    // At the default width this small early-stopped run folds into a
     // single chunk, which par_map runs inline (no worker threads, no
-    // `par.worker` span). Force per-trial dispatch so the worker
-    // subtree this test asserts on actually exists.
+    // `par.worker` span). Width-1 chunks give the pool several items,
+    // so the worker subtree this test asserts on actually exists;
+    // results do not depend on the width.
     msc_sim::engine::set_batch(1);
 
     let baseline = msc_sim::experiments::fig13::run(2, 7).render();

@@ -69,35 +69,17 @@ fn trace_cache_reports_identical_at_1_4_8_threads() {
 }
 
 #[test]
-fn legacy_engine_flags_are_thread_count_invariant() {
-    // `--batch 1 --no-early-stop` selects the pre-batch per-trial code
-    // path (seed-compatible output); it must stay byte-identical at
-    // 1/4/8 threads like every other configuration.
+fn full_trial_counts_are_thread_count_invariant() {
+    // `--no-early-stop` runs every cell to its full trial count in
+    // more chunks per cell; it must stay byte-identical at 1/4/8
+    // threads like every other configuration.
     let mut outputs = Vec::new();
     for threads in ["1", "4", "8"] {
-        outputs.push(paper_stdout(&[
-            "fig13",
-            "2",
-            "7",
-            "--threads",
-            threads,
-            "--batch",
-            "1",
-            "--no-early-stop",
-        ]));
+        outputs.push(paper_stdout(&["fig13", "2", "7", "--threads", threads, "--no-early-stop"]));
     }
-    assert!(!outputs[0].trim().is_empty(), "fig13 produced no output with legacy flags");
-    assert_eq!(outputs[0], outputs[1], "legacy flags: 1 vs 4 threads");
-    assert_eq!(outputs[0], outputs[2], "legacy flags: 1 vs 8 threads");
-}
-
-#[test]
-fn batch_width_does_not_change_reports() {
-    // Any width > 1 must produce identical results: lanes are seeded
-    // per trial index, never per batch.
-    let four = paper_stdout(&["fig13", "2", "7", "--threads", "2", "--batch", "4"]);
-    let eight = paper_stdout(&["fig13", "2", "7", "--threads", "2", "--batch", "8"]);
-    assert_eq!(four, eight, "fig13 output must not depend on batch width");
+    assert!(!outputs[0].trim().is_empty(), "fig13 produced no output without early stop");
+    assert_eq!(outputs[0], outputs[1], "--no-early-stop: 1 vs 4 threads");
+    assert_eq!(outputs[0], outputs[2], "--no-early-stop: 1 vs 8 threads");
 }
 
 #[test]
