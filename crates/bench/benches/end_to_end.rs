@@ -1,30 +1,14 @@
-//! End-to-end pipeline benchmarks: one full packet through carrier
-//! generation → tag modulation → channel → joint decode, per protocol —
-//! the unit of work behind Figs. 12–15.
+//! End-to-end pipeline benchmarks: Monte-Carlo cells through carrier
+//! generation → tag modulation → channel → joint decode on the cell
+//! engine — the unit of work behind Figs. 12–15 — plus the tag loop,
+//! the fleet engine and the identification sweep.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use msc_core::overlay::Mode;
 use msc_phy::protocol::Protocol;
-use msc_sim::pipeline::{run_packet, run_packets, AnyLink, Geometry};
+use msc_sim::pipeline::{run_packets, AnyLink, Geometry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn bench_pipeline(c: &mut Criterion) {
-    let mut group = c.benchmark_group("end_to_end_packet");
-    for p in Protocol::ALL {
-        let link = AnyLink::new(p, Mode::Mode1);
-        group.bench_with_input(BenchmarkId::from_parameter(p.label()), &link, |b, link| {
-            let mut rng = StdRng::seed_from_u64(7);
-            let geo = Geometry::los(6.0);
-            b.iter(|| {
-                // No decode assertion: fading occasionally drops a
-                // packet at 6 m, which is behaviour, not a bench error.
-                run_packet(&mut rng, black_box(link), &geo, Mode::Mode1, 12)
-            })
-        });
-    }
-    group.finish();
-}
 
 fn bench_tag_full_loop(c: &mut Criterion) {
     // The tag's own processing: acquire + identify + modulate.
@@ -233,6 +217,6 @@ fn bench_id_sweep(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_pipeline, bench_tag_full_loop, bench_experiment_cell, bench_trial_batch, bench_fleet, bench_id_sweep
+    targets = bench_tag_full_loop, bench_experiment_cell, bench_trial_batch, bench_fleet, bench_id_sweep
 }
 criterion_main!(benches);

@@ -1,7 +1,8 @@
 //! Bench regression gate: compares a current `BENCH_*.json` against a
 //! checked-in baseline and fails (exit 1) when any row regresses beyond
 //! measurement noise *after* normalizing out the overall machine-speed
-//! shift.
+//! shift. Bad arguments, unreadable files and two files with no row in
+//! common exit 2.
 //!
 //! ```text
 //! bench_regress <baseline.json> <current.json> [--slack 0.10]
@@ -132,11 +133,12 @@ fn main() -> ExitCode {
             );
         }
     }
+    // A gate that compared nothing has not passed: fail closed.
     if pairs.is_empty() {
         eprintln!(
-            "bench_regress: WARNING: no common rows between {baseline_path} and {current_path} — nothing compared, passing"
+            "bench_regress: no common rows between {baseline_path} and {current_path} — nothing compared"
         );
-        return ExitCode::SUCCESS;
+        return ExitCode::from(2);
     }
 
     let mut rs: Vec<f64> = pairs.iter().map(|(_, b, c)| c.median / b.median).collect();

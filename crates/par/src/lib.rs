@@ -211,9 +211,20 @@ pub fn hash_label(s: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that run the pool or set its width: the
+    /// worker count and the `msc_obs::pool` counters are process-wide,
+    /// so a concurrent `par_map` call would land in another test's
+    /// utilization snapshot.
+    fn pool_serial() -> MutexGuard<'static, ()> {
+        static GUARD: Mutex<()> = Mutex::new(());
+        GUARD.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn par_map_preserves_order() {
+        let _serial = pool_serial();
         let items: Vec<u64> = (0..1000).collect();
         let got = par_map(&items, |&x| x * 3);
         let want: Vec<u64> = items.iter().map(|&x| x * 3).collect();
@@ -222,6 +233,7 @@ mod tests {
 
     #[test]
     fn par_map_indexed_matches_sequential_at_any_width() {
+        let _serial = pool_serial();
         let f = |i: usize| derive_seed(42, 7, i as u64);
         let want: Vec<u64> = (0..257).map(f).collect();
         for w in [1, 2, 3, 8] {
@@ -233,6 +245,7 @@ mod tests {
 
     #[test]
     fn par_map_handles_edge_sizes() {
+        let _serial = pool_serial();
         set_threads(4);
         assert!(par_map_indexed(0, |i| i).is_empty());
         assert_eq!(par_map_indexed(1, |i| i), vec![0]);
@@ -272,12 +285,14 @@ mod tests {
 
     #[test]
     fn threads_clamps_to_one() {
+        let _serial = pool_serial();
         set_threads(0);
         assert!(threads() >= 1);
     }
 
     #[test]
     fn pool_reports_utilization_and_profile_frames() {
+        let _serial = pool_serial();
         let _guard = msc_obs::profile::tests_serial();
         msc_obs::profile::reset();
         msc_obs::pool::reset();

@@ -7,17 +7,25 @@
 //! normally run a full-buffer synchronization search (the ZigBee
 //! matched-filter sync is ~70 % of its decode cost) can exploit that:
 //! when a sync window hint is active they correlate only over
-//! `0..=radius` candidate offsets and skip the CFO estimate (the
-//! pipeline applies no carrier offset; the estimator only ever chases
-//! noise there).
+//! `0..=radius` candidate offsets.
+//!
+//! The hint makes two promises, and they are not equally safe:
+//!
+//! * **Frame start in `0..=radius`** — an accelerator. If the windowed
+//!   search fails, demodulators fall back to the full search, so
+//!   decode results stay identical whenever the frame really does
+//!   start in-window.
+//! * **No carrier frequency offset** — an oracle. ZigBee skips its CFO
+//!   estimate under the hint (the estimator would only chase noise,
+//!   and its correction clones the buffer), so a hinted decode of an
+//!   offset carrier fails outright. Set the hint only for buffers the
+//!   caller knows are offset-free: the engine's `TrialBatch` grants it
+//!   only to lanes its channel did not frequency-shift.
 //!
 //! The hint is **thread-local** and scoped: `with_window(radius, f)`
 //! sets it for the duration of `f` and restores the previous value on
 //! the way out (also on panic), so concurrent tests and unrelated
-//! decodes on other threads are never affected. Demodulators must
-//! treat the hint as an accelerator, not an oracle — if the windowed
-//! search fails they fall back to the full search, keeping decode
-//! results identical whenever the frame really does start in-window.
+//! decodes on other threads are never affected.
 
 use std::cell::Cell;
 

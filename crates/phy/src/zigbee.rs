@@ -437,9 +437,9 @@ impl ZigBeeDemodulator {
         if buf.mean_power() < 1e-20 {
             return Err(DecodeError::SignalTooWeak);
         }
-        // Under an engine sync-window hint the carrier is known to be
-        // offset-free (the simulation pipeline applies none), so the
-        // CFO estimator — which would only chase noise, and whose
+        // A sync-window hint also promises an offset-free carrier (the
+        // engine grants it only to lanes it did not frequency-shift), so
+        // the CFO estimator — which would only chase noise, and whose
         // noise-triggered correction clones the whole buffer — is
         // skipped along with the full-buffer matched-filter search.
         let hint = crate::fastsync::window();

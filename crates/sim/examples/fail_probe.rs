@@ -3,9 +3,8 @@
 //! Output goes through the msc-obs trace layer (stderr subscriber), one
 //! `probe.fail` event per (protocol, SNR) cell.
 use msc_channel::Fading;
-use msc_core::overlay::{params_for, Mode};
+use msc_core::overlay::Mode;
 use msc_core::tag::payload_start_seconds;
-use msc_core::TagOverlayModulator;
 use msc_phy::protocol::Protocol;
 use msc_sim::pipeline::{apply_uplink, AnyLink};
 use rand::rngs::StdRng;
@@ -25,7 +24,7 @@ fn main() {
                 let (_, carrier) = link.make_carrier(&mut rng, 16);
                 let cap = link.tag_capacity(16);
                 let tb: Vec<u8> = (0..cap).map(|_| rng.gen_range(0..=1)).collect();
-                let m = TagOverlayModulator::new(p, params_for(p, Mode::Mode1));
+                let m = link.modulator();
                 let start = (payload_start_seconds(p) * carrier.rate().as_hz()).round() as usize;
                 let modu = m.modulate(&carrier, start, &tb);
                 let rx = apply_uplink(&mut rng, &modu, snr, Fading::None);

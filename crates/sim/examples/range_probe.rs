@@ -4,13 +4,10 @@
 //! `probe.range` event per (protocol, distance) cell.
 use msc_core::overlay::Mode;
 use msc_phy::protocol::Protocol;
-use msc_sim::pipeline::{run_packet, AnyLink, Geometry};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use msc_sim::pipeline::{run_packets, AnyLink, Geometry};
 
 fn main() {
     msc_obs::trace::install(std::sync::Arc::new(msc_obs::trace::StderrSubscriber));
-    let mut rng = StdRng::seed_from_u64(3);
     for p in Protocol::ALL {
         let link = AnyLink::new(p, Mode::Mode1);
         for d in [4.0, 8.0, 12.0, 16.0, 20.0, 24.0, 28.0, 32.0] {
@@ -18,8 +15,8 @@ fn main() {
             let n = 8;
             let mut ok = 0;
             let mut ber = 0.0;
-            for _ in 0..n {
-                let out = run_packet(&mut rng, &link, &geo, Mode::Mode1, 16);
+            let cell = format!("probe/{}/{d}", p.label());
+            for out in run_packets(&link, &geo, Mode::Mode1, 16, n, 3, &cell) {
                 if out.decoded {
                     ok += 1;
                 }

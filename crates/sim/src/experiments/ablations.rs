@@ -13,21 +13,17 @@
 //!   modeling) vs accuracy.
 
 use crate::idtraces::front_end;
-use crate::pipeline::apply_uplink;
+use crate::pipeline::{run_cell, tag_error_counts, AnyLink, Impairments};
 use crate::report::{f1, pct, Report};
 use crate::tracecache::traces_hard;
+use msc_channel::Fading;
 use msc_core::envelope::FrontEnd;
-use msc_core::overlay::{OverlayParams, TagOverlayModulator};
+use msc_core::overlay::{Mode, OverlayParams};
 use msc_core::resources::{Arithmetic, MatcherCost};
 use msc_core::search::{blind_accuracy, collect_scores_labeled};
-use msc_core::tag::payload_start_seconds;
 use msc_core::{MatchMode, Matcher, TemplateBank, TemplateConfig};
 use msc_dsp::SampleRate;
-use msc_phy::bits::random_bits;
 use msc_phy::protocol::Protocol;
-use msc_rx::ZigBeeOverlayLink;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Quantization-width sweep: identification accuracy vs FPGA cost.
 pub fn abl_bits(n: usize, seed: u64) -> Report {
@@ -70,43 +66,26 @@ pub fn abl_gamma(n: usize, seed: u64) -> Report {
     let n = n.max(8);
     let mut report = Report::new(
         "abl-gamma — ZigBee tag BER vs γ spreading (paper §2.4.2: γ≥2; γ=3 → ~0.1% on hardware)",
-        &["γ", "SNR 6 dB", "SNR 2 dB", "SNR -2 dB", "tag bits/packet"],
+        &["γ", "SNR dB", "tag BER", "tag bits/packet"],
     );
     for gamma in [2usize, 4, 6] {
-        let params = OverlayParams::new(2 * gamma, gamma);
-        let link = ZigBeeOverlayLink::new(params);
-        let n_prod = 12;
-        let cap = link.tag_capacity(n_prod);
-        let tag = TagOverlayModulator::new(Protocol::ZigBee, params);
-        let start = (payload_start_seconds(Protocol::ZigBee) * 8e6).round() as usize;
-        let mut cells = Vec::new();
+        let link = AnyLink::from_params(Protocol::ZigBee, OverlayParams::new(2 * gamma, gamma));
         for snr in [6.0, 2.0, -2.0] {
-            let cell = msc_par::hash_label(&format!("abl-gamma/{gamma}/{snr}"));
-            let (errors, bits) = msc_par::par_map_indexed(n, |i| {
-                let mut rng = StdRng::seed_from_u64(msc_par::derive_seed(seed, cell, i as u64));
-                let productive: Vec<u8> = (0..n_prod).map(|_| rng.gen_range(0..16)).collect();
-                let tag_bits = random_bits(&mut rng, cap);
-                let carrier = link.make_carrier(&productive);
-                let modulated = tag.modulate(&carrier, start, &tag_bits);
-                let rx = apply_uplink(&mut rng, &modulated, snr, msc_channel::Fading::None);
-                match link.decode(&rx) {
-                    Ok(d) => {
-                        (tag_bits.iter().zip(d.tag.iter()).filter(|(a, b)| a != b).count(), cap)
-                    }
-                    Err(_) => (cap, cap),
-                }
-            })
-            .into_iter()
-            .fold((0usize, 0usize), |(e, b), (de, db)| (e + de, b + db));
-            cells.push(pct(errors as f64 / bits.max(1) as f64));
+            let cell = format!("abl-gamma/{gamma}/{snr}");
+            let outs =
+                run_cell(&link, Impairments::snr(snr, Fading::None), 12, n, seed, &cell, None);
+            let (errors, bits) = tag_error_counts(&outs);
+            report.keyed_row(
+                &cell,
+                &[
+                    gamma.to_string(),
+                    snr.to_string(),
+                    pct(errors as f64 / bits.max(1) as f64),
+                    link.tag_capacity(12).to_string(),
+                ],
+            );
+            report.stat_clustered("tag_ber", errors, bits, outs.len() as u64);
         }
-        report.row(&[
-            gamma.to_string(),
-            cells[0].clone(),
-            cells[1].clone(),
-            cells[2].clone(),
-            cap.to_string(),
-        ]);
     }
     report.note(
         "Longer γ trades tag rate for SNR margin — the Miller-code intuition the paper cites.",
@@ -172,46 +151,32 @@ pub fn abl_lag(n: usize, seed: u64) -> Report {
 /// CFO tolerance ablation: every protocol's end-to-end overlay loop under
 /// crystal-grade carrier offsets (the receivers' estimators at work).
 pub fn abl_cfo(n: usize, seed: u64) -> Report {
-    use crate::pipeline::{apply_uplink_impaired, AnyLink, Impairments};
-    use msc_core::overlay::Mode;
     let n = n.max(6);
     let mut report = Report::new(
         "abl-cfo — overlay tag BER vs carrier frequency offset (SNR 15 dB, no fading)",
-        &["protocol", "0 Hz", "±20 kHz", "±48.8 kHz (20 ppm)"],
+        &["protocol", "CFO", "tag BER"],
     );
     for p in Protocol::ALL {
-        let mode = Mode::Mode1;
-        let link = AnyLink::new(p, mode);
-        let mut cells = Vec::new();
-        for &cfo in &[0.0, 20e3, 48.8e3] {
-            // ZigBee's periodicity estimator caps at ±31 kHz — report
-            // honestly beyond it.
-            let cell = msc_par::hash_label(&format!("abl-cfo/{}/{cfo}", p.label()));
-            let (errors, bits) = msc_par::par_map_indexed(n, |k| {
-                let mut rng = StdRng::seed_from_u64(msc_par::derive_seed(seed, cell, k as u64));
-                let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
-                let (productive, carrier) = link.make_carrier(&mut rng, 12);
-                let cap = link.tag_capacity(12);
-                let tag_bits: Vec<u8> = (0..cap).map(|_| rng.gen_range(0..=1)).collect();
-                let modulator =
-                    msc_core::TagOverlayModulator::new(p, msc_core::overlay::params_for(p, mode));
-                let start = (msc_core::tag::payload_start_seconds(p) * carrier.rate().as_hz())
-                    .round() as usize;
-                let modulated = modulator.modulate(&carrier, start, &tag_bits);
-                let imp = Impairments::snr(15.0, msc_channel::Fading::None).with_cfo(sign * cfo);
-                let rx = apply_uplink_impaired(&mut rng, &modulated, imp);
-                match link.decode(&rx, productive.len()) {
-                    Ok(d) => {
-                        (tag_bits.iter().zip(d.tag.iter()).filter(|(a, b)| a != b).count(), cap)
-                    }
-                    Err(_) => (cap, cap),
-                }
-            })
-            .into_iter()
-            .fold((0usize, 0usize), |(e, b), (de, db)| (e + de, b + db));
-            cells.push(pct(errors as f64 / bits.max(1) as f64));
+        let link = AnyLink::new(p, Mode::Mode1);
+        // ZigBee's periodicity estimator caps at ±31 kHz — report
+        // honestly beyond it.
+        for (cfo, name) in [(0.0, "0 Hz"), (20e3, "±20 kHz"), (48.8e3, "±48.8 kHz (20 ppm)")] {
+            // One point pools two engine cells: +cfo for ⌈n/2⌉ trials
+            // and −cfo for ⌊n/2⌋.
+            let cell = format!("abl-cfo/{}/{cfo}", p.label());
+            let mut outs = Vec::with_capacity(n);
+            for (sign, count, suffix) in [(1.0, n.div_ceil(2), "+"), (-1.0, n / 2, "-")] {
+                let imp = Impairments::snr(15.0, Fading::None).with_cfo(sign * cfo);
+                let half = format!("{cell}/{suffix}");
+                outs.extend(run_cell(&link, imp, 12, count, seed, &half, None));
+            }
+            let (errors, bits) = tag_error_counts(&outs);
+            report.keyed_row(
+                &cell,
+                &[p.label().into(), name.into(), pct(errors as f64 / bits.max(1) as f64)],
+            );
+            report.stat_clustered("tag_ber", errors, bits, outs.len() as u64);
         }
-        report.row(&[p.label().into(), cells[0].clone(), cells[1].clone(), cells[2].clone()]);
     }
     report.note("11n: STF autocorrelation CFO estimate; BLE: discriminator DC estimate + offset-invariant sync fallback; 11b: differential demod needs nothing; ZigBee: 16 µs-periodicity estimate (unambiguous to ±31 kHz, so 48.8 kHz aliases — a real CC2650 uses a wider-range synchronizer).");
     report
@@ -235,16 +200,13 @@ mod tests {
     fn gamma_improves_low_snr_ber() {
         let rendered = abl_gamma(8, 42).render();
         let ber_at = |gamma: &str| -> f64 {
-            rendered
+            // Row tokens: γ, SNR dB, tag BER, tag bits/packet.
+            let row: Vec<&str> = rendered
                 .lines()
-                .find(|l| l.trim_start().starts_with(gamma))
-                .unwrap()
-                .split_whitespace()
-                .nth(3) // SNR -2 dB column
-                .unwrap()
-                .trim_end_matches('%')
-                .parse()
-                .unwrap()
+                .map(|l| l.split_whitespace().collect::<Vec<_>>())
+                .find(|t| t.len() == 4 && t[0] == gamma && t[1] == "-2")
+                .unwrap();
+            row[2].trim_end_matches('%').parse().unwrap()
         };
         // γ=6 must not be worse than γ=2 at the lowest SNR.
         assert!(ber_at("6") <= ber_at("2") + 2.0, "{} vs {}", ber_at("6"), ber_at("2"));
@@ -278,11 +240,10 @@ mod tests {
         let rendered = abl_cfo(6, 42).render();
         // At ±20 kHz every protocol stays under 15% tag BER.
         for p in ["802.11n", "802.11b", "BLE", "ZigBee"] {
-            let row = rendered.lines().find(|l| l.trim_start().starts_with(p)).unwrap();
+            let row = rendered.lines().find(|l| l.starts_with(p) && l.contains("±20 kHz")).unwrap();
             let cell: f64 = row
                 .split_whitespace()
-                .filter(|t| t.ends_with('%'))
-                .nth(1)
+                .find(|t| t.ends_with('%'))
                 .unwrap()
                 .trim_end_matches('%')
                 .parse()

@@ -2,7 +2,7 @@
 //! Paper: maximal ranges 28 m (WiFi b/n), 22 m (ZigBee), 20 m (BLE); low
 //! BERs out to 16 m.
 
-use crate::pipeline::{run_packets_stopping, AnyLink, Geometry, PacketOutcome, StopPolicy};
+use crate::pipeline::{run_cell, AnyLink, Geometry, Impairments, PacketOutcome, StopPolicy};
 use crate::report::{f1, pct, Report};
 use crate::throughput::{goodput, ExcitationProfile};
 use msc_core::overlay::Mode;
@@ -69,7 +69,8 @@ pub fn run_deployment(n: usize, seed: u64, nlos: bool) -> Report {
                 crn_group: Some(&crn_group),
                 decide: &verdict_settled,
             };
-            let outs = run_packets_stopping(&link, &geo, Mode::Mode1, 16, n, seed, &cell, &policy);
+            let imp = Impairments::snr(geo.uplink_snr_db(p), geo.fading);
+            let outs = run_cell(&link, imp, 16, n, seed, &cell, Some(&policy));
             let m = outs.len();
             for out in &outs {
                 if out.decoded {

@@ -4,16 +4,13 @@
 //! across all schemes — overlay modulation is agnostic to the reference
 //! content's modulation.
 
-use crate::pipeline::{apply_uplink, Geometry};
+use crate::pipeline::{run_packets, tag_error_counts, AnyLink, Geometry};
 use crate::report::{pct, Report};
-use msc_core::overlay::{params_for, Mode, TagOverlayModulator};
-use msc_core::tag::payload_start_seconds;
-use msc_phy::bits::random_bits;
+use msc_core::overlay::{params_for, Mode};
 use msc_phy::protocol::Protocol;
+use msc_phy::wifi_b::DsssRate;
 use msc_phy::wifi_n::Mcs;
-use msc_rx::WifiNOverlayLink;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use msc_rx::{WifiBOverlayLink, WifiNOverlayLink};
 
 /// Runs with `n` packets per scheme.
 pub fn run(n: usize, seed: u64) -> Report {
@@ -25,87 +22,35 @@ pub fn run(n: usize, seed: u64) -> Report {
     );
 
     // 802.11n: the overlay link supports all three constellations.
-    for (label, mcs) in
-        [("OFDM-BPSK", Mcs::Mcs0), ("OFDM-QPSK", Mcs::Mcs1), ("OFDM-16QAM", Mcs::Mcs3)]
-    {
-        let params = params_for(Protocol::WifiN, Mode::Mode1);
-        let link = WifiNOverlayLink::new(params).with_mcs(mcs);
-        let tag = TagOverlayModulator::new(Protocol::WifiN, params);
-        let cell = msc_par::hash_label(&format!("fig17/{label}"));
-        let (errors, bits) = msc_par::par_map_indexed(n, |i| {
-            let mut rng = StdRng::seed_from_u64(msc_par::derive_seed(seed, cell, i as u64));
-            let productive = random_bits(&mut rng, 12);
-            let tag_bits = random_bits(&mut rng, link.tag_capacity(12));
-            let carrier = link.make_carrier(&productive);
-            let start =
-                (payload_start_seconds(Protocol::WifiN) * carrier.rate().as_hz()).round() as usize;
-            let modulated = tag.modulate(&carrier, start, &tag_bits);
-            let snr = geo.uplink_snr_db(Protocol::WifiN);
-            let rx = apply_uplink(&mut rng, &modulated, snr, geo.fading);
-            match link.decode(&rx) {
-                Ok(d) => (
-                    tag_bits.iter().zip(d.tag.iter()).filter(|(a, b)| a != b).count(),
-                    tag_bits.len(),
-                ),
-                Err(_) => (tag_bits.len(), tag_bits.len()),
-            }
-        })
-        .into_iter()
-        .fold((0usize, 0usize), |(e, b), (de, db)| (e + de, b + db));
-        report.keyed_row(
-            format!("fig17/{label}"),
-            &[
-                "802.11n".into(),
-                label.into(),
-                pct(errors as f64 / bits.max(1) as f64),
-                n.to_string(),
-            ],
-        );
-        report.stat_clustered("tag_ber", errors as u64, bits as u64, n as u64);
-    }
-
+    let n_params = params_for(Protocol::WifiN, Mode::Mode1);
+    let wifi_n = |mcs| (AnyLink::WifiN(WifiNOverlayLink::new(n_params).with_mcs(mcs)), 12);
     // 802.11b: the overlay link itself supports all reference-symbol
-    // rates (DSSS-BPSK/DQPSK/CCK) — single receiver, no oracle.
-    for (label, rate, sym_s) in [
-        ("DSSS-BPSK (1M)", msc_phy::wifi_b::DsssRate::R1M, 1e-6),
-        ("DSSS-DQPSK (2M)", msc_phy::wifi_b::DsssRate::R2M, 1e-6),
-        ("CCK (5.5M)", msc_phy::wifi_b::DsssRate::R5M5, 8.0 / 11e6),
-    ] {
-        let params = params_for(Protocol::WifiB, Mode::Mode1);
-        let link = msc_rx::WifiBOverlayLink::new(params).with_rate(rate);
-        let tag = TagOverlayModulator::new(Protocol::WifiB, params).with_symbol_duration(sym_s);
-        let cell = msc_par::hash_label(&format!("fig17/{label}"));
-        let (errors, bits) = msc_par::par_map_indexed(n, |i| {
-            let mut rng = StdRng::seed_from_u64(msc_par::derive_seed(seed, cell, i as u64));
-            let b = rate.bits_per_symbol();
-            let productive = random_bits(&mut rng, 24 * b);
-            let tag_bits = random_bits(&mut rng, link.tag_capacity(productive.len()));
-            let carrier = link.make_carrier(&productive);
-            let start =
-                (payload_start_seconds(Protocol::WifiB) * carrier.rate().as_hz()).round() as usize;
-            let modulated = tag.modulate(&carrier, start, &tag_bits);
-            let snr = geo.uplink_snr_db(Protocol::WifiB);
-            let rx = apply_uplink(&mut rng, &modulated, snr, geo.fading);
-            match link.decode(&rx) {
-                Ok(d) => (
-                    tag_bits.iter().zip(d.tag.iter()).filter(|(a, b)| a != b).count(),
-                    tag_bits.len(),
-                ),
-                Err(_) => (tag_bits.len(), tag_bits.len()),
-            }
-        })
-        .into_iter()
-        .fold((0usize, 0usize), |(e, b), (de, db)| (e + de, b + db));
+    // rates (DSSS-BPSK/DQPSK/CCK) — single receiver, no oracle. The
+    // link's tag modulator switches to 8/11 µs symbols for CCK.
+    let b_params = params_for(Protocol::WifiB, Mode::Mode1);
+    let wifi_b = |rate: DsssRate| {
+        (
+            AnyLink::WifiB(WifiBOverlayLink::new(b_params).with_rate(rate)),
+            24 * rate.bits_per_symbol(),
+        )
+    };
+    let schemes = [
+        ("802.11n", "OFDM-BPSK", wifi_n(Mcs::Mcs0)),
+        ("802.11n", "OFDM-QPSK", wifi_n(Mcs::Mcs1)),
+        ("802.11n", "OFDM-16QAM", wifi_n(Mcs::Mcs3)),
+        ("802.11b", "DSSS-BPSK (1M)", wifi_b(DsssRate::R1M)),
+        ("802.11b", "DSSS-DQPSK (2M)", wifi_b(DsssRate::R2M)),
+        ("802.11b", "CCK (5.5M)", wifi_b(DsssRate::R5M5)),
+    ];
+    for (carrier, label, (link, n_productive)) in schemes {
+        let cell = format!("fig17/{label}");
+        let outs = run_packets(&link, &geo, Mode::Mode1, n_productive, n, seed, &cell);
+        let (errors, bits) = tag_error_counts(&outs);
         report.keyed_row(
-            format!("fig17/{label}"),
-            &[
-                "802.11b".into(),
-                label.into(),
-                pct(errors as f64 / bits.max(1) as f64),
-                n.to_string(),
-            ],
+            &cell,
+            &[carrier.into(), label.into(), pct(errors as f64 / bits.max(1) as f64), n.to_string()],
         );
-        report.stat_clustered("tag_ber", errors as u64, bits as u64, n as u64);
+        report.stat_clustered("tag_ber", errors, bits, outs.len() as u64);
     }
     report.note("Paper Fig. 17: all schemes keep tag BER below ~0.6% — the reference modulation does not matter.");
     report

@@ -9,13 +9,10 @@
 //! steady-state count through `msc-obs` so regressions show up in the
 //! metrics dump, not just here.
 
-use msc_core::overlay::{params_for, Mode};
-use msc_core::TagOverlayModulator;
+use msc_core::overlay::Mode;
 use msc_phy::protocol::Protocol;
-use msc_sim::pipeline::{run_packet, AnyLink, Geometry, Impairments, PacketOutcome, TrialBatch};
+use msc_sim::pipeline::{run_packets, AnyLink, Geometry, Impairments, PacketOutcome, TrialBatch};
 use msc_sim::wavecache::CellExcitation;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -68,7 +65,7 @@ fn steady_state_packet_allocates_far_less_than_cold() {
     let geo = Geometry::los(4.0);
     let exc = CellExcitation::prepare(&link, Mode::Mode1, 16, 42, "alloc-guard/cell");
     let p = link.protocol();
-    let modulator = TagOverlayModulator::new(p, params_for(p, Mode::Mode1));
+    let modulator = link.modulator();
     let cellh = msc_par::hash_label("alloc-guard/cell");
     let snr = geo.uplink_snr_db(p);
     let mut tb = TrialBatch::new();
@@ -89,11 +86,12 @@ fn steady_state_packet_allocates_far_less_than_cold() {
         packet(i, &mut outs);
     }
     let (warm, _) = count_allocs(|| packet(4, &mut outs));
-    let mut rng = StdRng::seed_from_u64(7);
 
-    // A packet that resynthesizes its carrier (the pre-cache hot path)
-    // allocates far more than a shared-excitation packet.
-    let (fresh, _) = count_allocs(|| run_packet(&mut rng, &link, &geo, Mode::Mode1, 16));
+    // A one-trial cell with a fresh payload synthesizes its carrier
+    // (a waveform-cache miss) and allocates far more than a
+    // shared-excitation packet.
+    let (fresh, _) =
+        count_allocs(|| run_packets(&link, &geo, Mode::Mode1, 16, 1, 7, "alloc-guard/fresh"));
 
     // The scratch pools keep even fresh synthesis cheap, so the ratio
     // is modest; the absolute bound is the real guard.
@@ -174,7 +172,7 @@ fn batched_materialize_and_channel_are_allocation_free_when_warm() {
     let link = AnyLink::new(p, Mode::Mode1);
     let geo = Geometry::los(4.0);
     let exc = CellExcitation::prepare(&link, Mode::Mode1, 16, 42, "alloc-guard/batch");
-    let modulator = TagOverlayModulator::new(p, params_for(p, Mode::Mode1));
+    let modulator = link.modulator();
     let cellh = msc_par::hash_label("alloc-guard/batch");
     let crn = Some(msc_par::hash_label("alloc-guard/crn"));
     let snr = geo.uplink_snr_db(p);

@@ -9,7 +9,7 @@
 use msc_core::overlay::Mode;
 use msc_obs::stats::{Proportion, Z99};
 use msc_phy::protocol::Protocol;
-use msc_sim::pipeline::{run_packets_stopping, AnyLink, Geometry, PacketOutcome, StopPolicy};
+use msc_sim::pipeline::{run_cell, AnyLink, Geometry, Impairments, PacketOutcome, StopPolicy};
 
 /// The deployment verdict on a set of outcomes (fig13's in-range rule).
 fn verdict(outs: &[PacketOutcome]) -> bool {
@@ -58,12 +58,11 @@ fn stopped_cells_are_full_run_prefixes_with_matching_verdicts() {
                     let cell = format!("{stage}/{}/{d}", p.label());
                     let policy =
                         StopPolicy { floor: 6, crn_group: Some(&crn_group), decide: &settled };
+                    let imp = Impairments::snr(geo.uplink_snr_db(p), geo.fading);
                     msc_sim::engine::set_early_stop(true);
-                    let es =
-                        run_packets_stopping(&link, &geo, Mode::Mode1, 16, n, seed, &cell, &policy);
+                    let es = run_cell(&link, imp, 16, n, seed, &cell, Some(&policy));
                     msc_sim::engine::set_early_stop(false);
-                    let full =
-                        run_packets_stopping(&link, &geo, Mode::Mode1, 16, n, seed, &cell, &policy);
+                    let full = run_cell(&link, imp, 16, n, seed, &cell, Some(&policy));
                     msc_sim::engine::set_early_stop(true);
 
                     assert_eq!(full.len(), n, "{cell}: full run must use all trials");

@@ -8,13 +8,10 @@
 //! ```
 
 use multiscatter::prelude::*;
-use multiscatter::sim::pipeline::{run_packet, AnyLink, Geometry};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use multiscatter::sim::pipeline::{run_packets, AnyLink, Geometry};
 
 fn main() {
     let n: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(10);
-    let mut rng = StdRng::seed_from_u64(5);
 
     for (nlos, name) in [(false, "LoS hallway"), (true, "NLoS office")] {
         println!("== {name} (tag 0.8 m from excitation source, {n} packets/point) ==");
@@ -29,8 +26,8 @@ fn main() {
                 let mut delivered = 0usize;
                 let mut err = 0usize;
                 let mut bits = 0usize;
-                for _ in 0..n {
-                    let out = run_packet(&mut rng, &link, &geo, Mode::Mode1, 16);
+                let cell = format!("survey/{name}/{}/{d}", p.label());
+                for out in run_packets(&link, &geo, Mode::Mode1, 16, n, 5, &cell) {
                     if out.decoded {
                         delivered += 1;
                         err += out.tag_errors;
