@@ -118,7 +118,8 @@ pub struct CellExcitation {
 impl CellExcitation {
     /// Draws the cell payload from `(seed, cell, u64::MAX)` and returns
     /// the cell's shared carrier — from the cache when enabled, freshly
-    /// synthesized otherwise.
+    /// synthesized otherwise. `_mode` is unused (the link carries its
+    /// overlay parameters); the signature is kept for existing callers.
     pub fn prepare(
         link: &AnyLink,
         _mode: Mode,
