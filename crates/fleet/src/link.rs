@@ -13,7 +13,7 @@
 use msc_phy::protocol::Protocol;
 
 /// One calibrated point: packet error rate measured at an SNR.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PerPoint {
     /// Uplink SNR at the receiver, dB.
     pub snr_db: f64,
@@ -23,7 +23,7 @@ pub struct PerPoint {
 
 /// Per-protocol PER-vs-SNR curves with linear interpolation and
 /// flat extrapolation beyond the sampled range.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LinkTable {
     curves: [Vec<PerPoint>; 4],
 }

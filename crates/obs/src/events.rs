@@ -11,9 +11,10 @@
 //!
 //! The fields before `"wall"` are **deterministic**: they derive only
 //! from the run's `(n, seed, config)` and never from clocks or thread
-//! scheduling, and every emission site sits on a sequential code path
-//! (the experiment loop, the per-cell caller thread, the fleet MAC
-//! sweep). The single trailing `"wall"` object holds *everything*
+//! scheduling, and every emission site sits on a sequential code path:
+//! the experiment loop, the fleet MAC sweep, and the cell sweep's
+//! caller, which emits each cell's events after the fan-out, per cell
+//! in job order (`msc_sim::pipeline::run_cells`). The single trailing `"wall"` object holds *everything*
 //! volatile — timestamps, rates, utilization, thread counts — so
 //! [`strip_volatile`] reduces the stream to a byte-identical form at
 //! any `--threads`. Sequence numbers are assigned under the sink lock

@@ -36,8 +36,9 @@ pub struct FlightConfig {
     /// Stage-time threshold in µs: any stage slower than this marks
     /// the trial as a `slow_stage` dump (`paper --flight-slow-us`).
     pub slow_stage_us: f64,
-    /// Cap on retained dumps per run; excess failures only bump the
-    /// suppressed counter so pathological cells can't flood the disk.
+    /// Cap on retained dumps per run: the `max_dumps` smallest by
+    /// `(cell, index)` are kept, and the rest only bump the suppressed
+    /// counter, so pathological cells can't flood the disk.
     pub max_dumps: usize,
 }
 
@@ -216,11 +217,7 @@ pub fn end_trial(verdict: &str) {
             .map(|&(stage, _)| format!("slow_stage:{stage}"))
     };
     if let Some(reason) = reason {
-        if s.dumps.len() < s.cfg.max_dumps {
-            s.dumps.push(Dump { reason, record: rec.clone() });
-        } else {
-            s.suppressed += 1;
-        }
+        retain_dump(&mut s, Dump { reason, record: rec.clone() });
     }
     if s.cfg.ring > 0 {
         if s.ring.len() == s.cfg.ring {
@@ -230,13 +227,35 @@ pub fn end_trial(verdict: &str) {
     }
 }
 
+/// The order dumps are kept and written in: `(cell, index)`, then
+/// experiment — a property of the trials, not of their arrival order.
+fn dump_key(d: &Dump) -> (&str, u64, &str) {
+    (d.record.cell.as_str(), d.record.index, d.record.experiment.as_str())
+}
+
+/// Keeps the `max_dumps` smallest dumps by [`dump_key`]: when the cap
+/// is full, the largest of the retained dumps and `dump` is dropped
+/// and counted as suppressed. Which trials are kept therefore does not
+/// depend on how workers interleave.
+fn retain_dump(s: &mut State, dump: Dump) {
+    if s.dumps.len() < s.cfg.max_dumps {
+        s.dumps.push(dump);
+        return;
+    }
+    s.suppressed += 1;
+    let largest = s.dumps.iter().enumerate().max_by(|a, b| dump_key(a.1).cmp(&dump_key(b.1)));
+    if let Some((i, kept)) = largest {
+        if dump_key(&dump) < dump_key(kept) {
+            s.dumps[i] = dump;
+        }
+    }
+}
+
 /// Drains the retained dumps, sorted by `(cell, index)` so the files a
 /// run writes are deterministic regardless of worker interleaving.
 pub fn take_dumps() -> Vec<Dump> {
     let mut dumps = std::mem::take(&mut state().lock().unwrap().dumps);
-    dumps.sort_by(|a, b| {
-        (a.record.cell.as_str(), a.record.index).cmp(&(b.record.cell.as_str(), b.record.index))
-    });
+    dumps.sort_by(|a, b| dump_key(a).cmp(&dump_key(b)));
     dumps
 }
 
@@ -428,6 +447,30 @@ mod tests {
         let dumps = take_dumps();
         disarm();
         assert!(dumps.iter().all(|d| d.reason == "slow_stage:decode"));
+    }
+
+    #[test]
+    fn dump_cap_keeps_the_smallest_trials_in_any_arrival_order() {
+        let _guard = tests_serial();
+        let kept = |order: &[u64]| {
+            arm(FlightConfig { max_dumps: 3, ..FlightConfig::default() });
+            for &i in order {
+                trial(if i % 2 == 0 { "cell/a" } else { "cell/b" }, i, "decode_fail");
+            }
+            let suppressed = stats().suppressed;
+            let dumps = take_dumps();
+            disarm();
+            let ids: Vec<(String, u64)> =
+                dumps.into_iter().map(|d| (d.record.cell, d.record.index)).collect();
+            (ids, suppressed)
+        };
+        let (forward, suppressed) = kept(&[0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(suppressed, 4);
+        let want: Vec<(String, u64)> =
+            [("cell/a", 0), ("cell/a", 2), ("cell/a", 4)].map(|(c, i)| (c.to_string(), i)).into();
+        assert_eq!(forward, want);
+        assert_eq!(kept(&[6, 5, 4, 3, 2, 1, 0]), (want.clone(), 4));
+        assert_eq!(kept(&[3, 0, 5, 2, 6, 1, 4]), (want, 4));
     }
 
     #[test]

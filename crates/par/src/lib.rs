@@ -59,7 +59,8 @@ struct WorkerOut<U> {
 /// pattern that makes stochastic work pure).
 ///
 /// Every call reports its utilization (worker busy/idle time, items) to
-/// [`msc_obs::pool`]; with the profiler collecting, workers additionally
+/// [`msc_obs::pool`] — idle time includes the pool threads a call with
+/// fewer items than threads leaves unused, inline calls included; with the profiler collecting, workers additionally
 /// adopt the caller's open frame path so per-stage time lands under a
 /// `par.run` → `par.worker` subtree, with the workers' combined idle and
 /// chunk-claim time recorded alongside (`par.idle` / `par.claim`), and
@@ -70,13 +71,23 @@ where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    let workers = threads().min(n.max(1));
+    let width = threads();
+    let workers = width.min(n.max(1));
     if workers <= 1 || n <= 1 {
         let _frame = msc_obs::profile::scope("par.run");
         let t0 = std::time::Instant::now();
         let out: Vec<U> = (0..n).map(f).collect();
         let us = t0.elapsed().as_secs_f64() * 1e6;
-        msc_obs::pool::record_call(us, us, 0.0, 0.0, n as u64);
+        // The caller ran every item; the pool's other threads idled.
+        let idle_us = (width - 1) as f64 * us;
+        msc_obs::pool::record_call(us, us, idle_us, 0.0, n as u64);
+        if idle_us > 0.0 && msc_obs::profile::enabled() {
+            msc_obs::profile::record_external(
+                &msc_obs::profile::fork_context(),
+                "par.idle",
+                idle_us,
+            );
+        }
         return out;
     }
     // Chunked dynamic scheduling: workers claim fixed-size index chunks
@@ -141,10 +152,12 @@ where
     let wall_us = t_call.elapsed().as_secs_f64() * 1e6;
     let busy_us: f64 = per_worker.iter().map(|w| w.busy_us).sum();
     // Idle = the slice of the call's wall each worker did not spend in
-    // its claim loop (spawn latency, done-and-waiting-for-join). Claim
-    // = loop time not inside item execution (chunk-claim contention);
-    // only meaningful when per-chunk tracking was on.
-    let idle_us: f64 = per_worker.iter().map(|w| (wall_us - w.busy_us).max(0.0)).sum();
+    // its claim loop (spawn latency, done-and-waiting-for-join), plus
+    // the whole wall of every pool thread the call had no items for.
+    // Claim = loop time not inside item execution (chunk-claim
+    // contention); only meaningful when per-chunk tracking was on.
+    let idle_us: f64 = per_worker.iter().map(|w| (wall_us - w.busy_us).max(0.0)).sum::<f64>()
+        + (width - workers) as f64 * wall_us;
     let claim_us: f64 = if profiling {
         per_worker.iter().map(|w| (w.busy_us - w.exec_us).max(0.0)).sum()
     } else {
@@ -250,6 +263,27 @@ mod tests {
         assert!(par_map_indexed(0, |i| i).is_empty());
         assert_eq!(par_map_indexed(1, |i| i), vec![0]);
         set_threads(0);
+    }
+
+    #[test]
+    fn short_calls_count_the_unused_threads_as_idle() {
+        // A call with fewer items than threads runs inline (or on fewer
+        // workers); the threads it leaves unused are idle for its wall.
+        let _serial = pool_serial();
+        let _guard = msc_obs::profile::tests_serial();
+        msc_obs::pool::reset();
+        set_threads(4);
+        let work = |i: usize| {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            i + 1
+        };
+        let out = par_map_indexed(1, work);
+        set_threads(0);
+        assert_eq!(out, vec![1]);
+        let stats = msc_obs::pool::snapshot();
+        assert_eq!(stats.calls, 1);
+        assert!(stats.idle_us > 0, "{stats:?}");
+        assert!(stats.utilization() < 1.0, "{stats:?}");
     }
 
     #[test]

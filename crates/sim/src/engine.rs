@@ -2,7 +2,7 @@
 //! adaptive early stopping, and the `MSC_*` float knobs.
 //!
 //! Batch width and early stopping are plain atomics set once at
-//! startup and read by [`crate::pipeline::run_packets`] per cell:
+//! startup and read by [`crate::pipeline::run_cells`] per sweep:
 //!
 //! * `batch` is the chunk width of the one cell engine,
 //!   [`crate::pipeline::TrialBatch`]. Lanes are seeded per trial index,

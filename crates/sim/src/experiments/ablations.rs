@@ -13,7 +13,7 @@
 //!   modeling) vs accuracy.
 
 use crate::idtraces::front_end;
-use crate::pipeline::{run_cell, tag_error_counts, AnyLink, Impairments};
+use crate::pipeline::{run_cells, tag_error_counts, AnyLink, CellJob, Impairments};
 use crate::report::{f1, pct, Report};
 use crate::tracecache::traces_hard;
 use msc_channel::Fading;
@@ -68,24 +68,27 @@ pub fn abl_gamma(n: usize, seed: u64) -> Report {
         "abl-gamma — ZigBee tag BER vs γ spreading (paper §2.4.2: γ≥2; γ=3 → ~0.1% on hardware)",
         &["γ", "SNR dB", "tag BER", "tag bits/packet"],
     );
-    for gamma in [2usize, 4, 6] {
-        let link = AnyLink::from_params(Protocol::ZigBee, OverlayParams::new(2 * gamma, gamma));
+    let links = [2usize, 4, 6]
+        .map(|g| AnyLink::from_params(Protocol::ZigBee, OverlayParams::new(2 * g, g)));
+    let mut jobs = Vec::with_capacity(9);
+    for link in &links {
         for snr in [6.0, 2.0, -2.0] {
-            let cell = format!("abl-gamma/{gamma}/{snr}");
-            let outs =
-                run_cell(&link, Impairments::snr(snr, Fading::None), 12, n, seed, &cell, None);
-            let (errors, bits) = tag_error_counts(&outs);
-            report.keyed_row(
-                &cell,
-                &[
-                    gamma.to_string(),
-                    snr.to_string(),
-                    pct(errors as f64 / bits.max(1) as f64),
-                    link.tag_capacity(12).to_string(),
-                ],
-            );
-            report.stat_clustered("tag_ber", errors, bits, outs.len() as u64);
+            let cell = format!("abl-gamma/{}/{snr}", link.params().gamma);
+            jobs.push(CellJob::new(link, Impairments::snr(snr, Fading::None), 12, n, cell));
         }
+    }
+    for (job, outs) in jobs.iter().zip(run_cells(seed, &jobs)) {
+        let (errors, bits) = tag_error_counts(&outs);
+        report.keyed_row(
+            &job.cell,
+            &[
+                job.link.params().gamma.to_string(),
+                job.imp.snr_db.to_string(),
+                pct(errors as f64 / bits.max(1) as f64),
+                job.link.tag_capacity(12).to_string(),
+            ],
+        );
+        report.stat_clustered("tag_ber", errors, bits, outs.len() as u64);
     }
     report.note(
         "Longer γ trades tag rate for SNR margin — the Miller-code intuition the paper cites.",
@@ -156,20 +159,28 @@ pub fn abl_cfo(n: usize, seed: u64) -> Report {
         "abl-cfo — overlay tag BER vs carrier frequency offset (SNR 15 dB, no fading)",
         &["protocol", "CFO", "tag BER"],
     );
-    for p in Protocol::ALL {
-        let link = AnyLink::new(p, Mode::Mode1);
-        // ZigBee's periodicity estimator caps at ±31 kHz — report
-        // honestly beyond it.
-        for (cfo, name) in [(0.0, "0 Hz"), (20e3, "±20 kHz"), (48.8e3, "±48.8 kHz (20 ppm)")] {
-            // One point pools two engine cells: +cfo for ⌈n/2⌉ trials
-            // and −cfo for ⌊n/2⌋.
-            let cell = format!("abl-cfo/{}/{cfo}", p.label());
-            let mut outs = Vec::with_capacity(n);
+    const CFOS: [(f64, &str); 3] =
+        [(0.0, "0 Hz"), (20e3, "±20 kHz"), (48.8e3, "±48.8 kHz (20 ppm)")];
+    // ZigBee's periodicity estimator caps at ±31 kHz — report honestly
+    // beyond it. One point pools two engine cells: +cfo for ⌈n/2⌉
+    // trials and −cfo for ⌊n/2⌋.
+    let links = Protocol::ALL.map(|p| AnyLink::new(p, Mode::Mode1));
+    let mut jobs = Vec::with_capacity(links.len() * CFOS.len() * 2);
+    for link in &links {
+        for (cfo, _) in CFOS {
+            let cell = format!("abl-cfo/{}/{cfo}", link.protocol().label());
             for (sign, count, suffix) in [(1.0, n.div_ceil(2), "+"), (-1.0, n / 2, "-")] {
                 let imp = Impairments::snr(15.0, Fading::None).with_cfo(sign * cfo);
-                let half = format!("{cell}/{suffix}");
-                outs.extend(run_cell(&link, imp, 12, count, seed, &half, None));
+                jobs.push(CellJob::new(link, imp, 12, count, format!("{cell}/{suffix}")));
             }
+        }
+    }
+    let mut halves = run_cells(seed, &jobs).into_iter();
+    for p in Protocol::ALL {
+        for (cfo, name) in CFOS {
+            let cell = format!("abl-cfo/{}/{cfo}", p.label());
+            let mut outs = halves.next().expect("+cfo half");
+            outs.extend(halves.next().expect("−cfo half"));
             let (errors, bits) = tag_error_counts(&outs);
             report.keyed_row(
                 &cell,

@@ -2,7 +2,7 @@
 //! Paper: maximal ranges 28 m (WiFi b/n), 22 m (ZigBee), 20 m (BLE); low
 //! BERs out to 16 m.
 
-use crate::pipeline::{run_cell, AnyLink, Geometry, Impairments, PacketOutcome, StopPolicy};
+use crate::pipeline::{run_cells, AnyLink, CellJob, Geometry, PacketOutcome, StopPolicy};
 use crate::report::{f1, pct, Report};
 use crate::throughput::{goodput, ExcitationProfile};
 use msc_core::overlay::Mode;
@@ -48,29 +48,39 @@ pub fn run_deployment(n: usize, seed: u64, nlos: bool) -> Report {
         Report::new(title, &["protocol", "d m", "RSSI dBm", "PER", "tag BER", "aggregate kbps"]);
 
     let stage = if nlos { "nlos" } else { "los" };
+    let geometry = |d| if nlos { Geometry::nlos(d) } else { Geometry::los(d) };
+    let links = Protocol::ALL.map(|p| AnyLink::new(p, Mode::Mode1));
+    // Adjacent distances share channel draws per trial index (common
+    // random numbers): the sweep axis is stripped from the CRN group,
+    // so range comparisons see the same channel luck.
+    let crn_groups = Protocol::ALL.map(|p| format!("{stage}/{}/crn", p.label()));
+    // All 32 cells run as one sweep; each keeps its own stop decision.
+    let mut jobs = Vec::with_capacity(links.len() * DISTANCES.len());
+    for (link, crn_group) in links.iter().zip(&crn_groups) {
+        for d in DISTANCES {
+            let cell = format!("{stage}/{}/{d}", link.protocol().label());
+            let policy = StopPolicy {
+                floor: floor.min(n),
+                crn_group: Some(crn_group),
+                decide: &verdict_settled,
+            };
+            jobs.push(CellJob::at(link, &geometry(d), 16, n, cell).with_policy(policy));
+        }
+    }
+    let mut cells = jobs.iter().zip(run_cells(seed, &jobs));
+
     for p in Protocol::ALL {
-        let link = AnyLink::new(p, Mode::Mode1);
         let profile = ExcitationProfile::paper_default(p);
         let mut max_range = 0.0f64;
         let mut counter = msc_rx::BerCounter::new();
-        // Adjacent distances share channel draws per trial index
-        // (common random numbers): the sweep axis is stripped from the
-        // CRN group, so range comparisons see the same channel luck.
-        let crn_group = format!("{stage}/{}/crn", p.label());
         for d in DISTANCES {
-            let geo = if nlos { Geometry::nlos(d) } else { Geometry::los(d) };
+            let geo = geometry(d);
+            let (job, outs) = cells.next().expect("one job per (protocol, distance)");
             let mut delivered = 0usize;
             let mut tag_err = 0usize;
             let mut tag_bits = 0usize;
             let mut prod_ok_acc = 0.0;
-            let cell = format!("{stage}/{}/{d}", p.label());
-            let policy = StopPolicy {
-                floor: floor.min(n),
-                crn_group: Some(&crn_group),
-                decide: &verdict_settled,
-            };
-            let imp = Impairments::snr(geo.uplink_snr_db(p), geo.fading);
-            let outs = run_cell(&link, imp, 16, n, seed, &cell, Some(&policy));
+            let cell = &job.cell;
             let m = outs.len();
             for out in &outs {
                 if out.decoded {
@@ -93,7 +103,7 @@ pub fn run_deployment(n: usize, seed: u64, nlos: bool) -> Report {
                 max_range = d;
             }
             report.keyed_row(
-                &cell,
+                cell,
                 &[
                     p.label().into(),
                     f1(d),

@@ -4,7 +4,7 @@
 //! across all schemes — overlay modulation is agnostic to the reference
 //! content's modulation.
 
-use crate::pipeline::{run_packets, tag_error_counts, AnyLink, Geometry};
+use crate::pipeline::{run_cells, tag_error_counts, AnyLink, CellJob, Geometry};
 use crate::report::{pct, Report};
 use msc_core::overlay::{params_for, Mode};
 use msc_phy::protocol::Protocol;
@@ -42,12 +42,19 @@ pub fn run(n: usize, seed: u64) -> Report {
         ("802.11b", "DSSS-DQPSK (2M)", wifi_b(DsssRate::R2M)),
         ("802.11b", "CCK (5.5M)", wifi_b(DsssRate::R5M5)),
     ];
-    for (carrier, label, (link, n_productive)) in schemes {
-        let cell = format!("fig17/{label}");
-        let outs = run_packets(&link, &geo, Mode::Mode1, n_productive, n, seed, &cell);
+    let jobs: Vec<CellJob> = schemes
+        .iter()
+        .map(|(_, label, (link, n_productive))| {
+            CellJob::at(link, &geo, *n_productive, n, format!("fig17/{label}"))
+        })
+        .collect();
+    for ((carrier, label, _), (job, outs)) in
+        schemes.iter().zip(jobs.iter().zip(run_cells(seed, &jobs)))
+    {
+        let (carrier, label, cell) = (*carrier, *label, &job.cell);
         let (errors, bits) = tag_error_counts(&outs);
         report.keyed_row(
-            &cell,
+            cell,
             &[carrier.into(), label.into(), pct(errors as f64 / bits.max(1) as f64), n.to_string()],
         );
         report.stat_clustered("tag_ber", errors, bits, outs.len() as u64);

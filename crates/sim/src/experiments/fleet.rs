@@ -7,7 +7,7 @@
 //!
 //! The engine resolves packet outcomes against a link abstraction
 //! *calibrated here*: each protocol's PER-vs-SNR curve is sampled from
-//! the full waveform pipeline ([`run_packets`]) at a handful of
+//! the full waveform pipeline ([`run_cells`]) at a handful of
 //! distances, then interpolated per packet at fleet scale. The
 //! `--fleet-phy` flag additionally replays a sampled subset of the
 //! fleet's single-tag attempts through the full pipeline and classifies
@@ -24,7 +24,7 @@
 //! ([`replay_incident`]). `paper fleet-timeline` ([`run_timeline`])
 //! renders the same windows as an ASCII carrier-occupancy strip chart.
 
-use crate::pipeline::{run_packets, AnyLink, Geometry};
+use crate::pipeline::{run_cells, run_packets, AnyLink, CellJob, Geometry};
 use crate::report::{f1, f3, pct, Report};
 use crate::throughput::ExcitationProfile;
 use msc_core::overlay::{params_for, Mode};
@@ -139,20 +139,30 @@ pub fn place_snr_db(place_u: f64, p: Protocol) -> f64 {
 }
 
 /// Calibrates the link abstraction: `n` full-pipeline trials per
-/// (protocol, distance) cell, keyed by the cell's uplink SNR.
+/// (protocol, distance) cell, keyed by the cell's uplink SNR. The 20
+/// cells run as one sweep, and the table is calibrated once per run:
+/// it is memoized on `(n, seed)` with the waveform cache
+/// ([`crate::wavecache::link_table`]).
 pub fn calibrate(n: usize, seed: u64) -> LinkTable {
-    let mut table = LinkTable::new();
-    for p in Protocol::ALL {
-        let link = AnyLink::new(p, Mode::Mode1);
-        for d in CAL_DISTANCES {
-            let geo = Geometry::los(d);
-            let cell = format!("fleet/cal/{}/{d}", p.label());
-            let outs = run_packets(&link, &geo, Mode::Mode1, 16, n, seed, &cell);
+    crate::wavecache::link_table(n, seed, || {
+        let links = Protocol::ALL.map(|p| AnyLink::new(p, Mode::Mode1));
+        let jobs: Vec<CellJob> = links
+            .iter()
+            .flat_map(|link| {
+                CAL_DISTANCES.map(|d| {
+                    let cell = format!("fleet/cal/{}/{d}", link.protocol().label());
+                    CellJob::at(link, &Geometry::los(d), 16, n, cell)
+                })
+            })
+            .collect();
+        let mut table = LinkTable::new();
+        for (job, outs) in jobs.iter().zip(run_cells(seed, &jobs)) {
+            let p = job.link.protocol();
             let lost = outs.iter().filter(|o| !o.decoded).count();
-            table.insert(p, geo.uplink_snr_db(p), lost as f64 / outs.len().max(1) as f64);
+            table.insert(p, job.imp.snr_db, lost as f64 / outs.len().max(1) as f64);
         }
-    }
-    table
+        table
+    })
 }
 
 /// The paper-default 500-tag scenario with one policy/energy choice.

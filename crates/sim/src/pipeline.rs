@@ -553,7 +553,8 @@ impl TrialBatch {
     }
 }
 
-/// Adaptive early-stopping policy for [`run_cell`].
+/// Adaptive early-stopping policy for a cell of [`run_cells`].
+#[derive(Clone, Copy)]
 pub struct StopPolicy<'a> {
     /// Minimum trials before the first stop check (the experiment's
     /// `min_n` from the registry).
@@ -585,10 +586,59 @@ fn checkpoints(n: usize, floor: usize) -> Vec<usize> {
     plan
 }
 
-/// [`run_cell`] at a geometry: the uplink SNR and fading come from
-/// the link budget, with no carrier offset and no early stopping.
-/// `_mode` is unused (the link carries its overlay parameters); the
-/// signature is kept for existing callers.
+/// One overlay-link Monte-Carlo cell for [`run_cells`]: up to `n`
+/// packets of `n_productive` productive units over `link` under `imp`.
+pub struct CellJob<'a> {
+    /// The link: protocol, overlay parameters and tag modulator.
+    pub link: &'a AnyLink,
+    /// Uplink channel impairments.
+    pub imp: Impairments,
+    /// Productive units per packet (bits; 4-bit symbols for ZigBee).
+    pub n_productive: usize,
+    /// Requested trials.
+    pub n: usize,
+    /// Cell label (e.g. `"los/ZigBee/8"`); keys every seed of the cell,
+    /// so seeds stay disjoint across cells that share a numeric seed.
+    pub cell: String,
+    /// Early stopping, if the cell may halt once its verdict settles.
+    pub policy: Option<StopPolicy<'a>>,
+}
+
+impl<'a> CellJob<'a> {
+    /// A cell under explicit impairments, without early stopping.
+    pub fn new(
+        link: &'a AnyLink,
+        imp: Impairments,
+        n_productive: usize,
+        n: usize,
+        cell: String,
+    ) -> Self {
+        CellJob { link, imp, n_productive, n, cell, policy: None }
+    }
+
+    /// A cell at a geometry: the uplink SNR and fading come from the
+    /// link budget, with no carrier offset.
+    pub fn at(
+        link: &'a AnyLink,
+        geometry: &Geometry,
+        n_productive: usize,
+        n: usize,
+        cell: String,
+    ) -> Self {
+        let imp = Impairments::snr(geometry.uplink_snr_db(link.protocol()), geometry.fading);
+        Self::new(link, imp, n_productive, n, cell)
+    }
+
+    /// Adds an early-stopping policy.
+    pub fn with_policy(mut self, policy: StopPolicy<'a>) -> Self {
+        self.policy = Some(policy);
+        self
+    }
+}
+
+/// [`run_cell`] at a geometry, with no early stopping. `_mode` is
+/// unused (the link carries its overlay parameters); the signature is
+/// kept for existing callers.
 pub fn run_packets(
     link: &AnyLink,
     geometry: &Geometry,
@@ -598,33 +648,12 @@ pub fn run_packets(
     seed: u64,
     cell: &str,
 ) -> Vec<PacketOutcome> {
-    let imp = Impairments::snr(geometry.uplink_snr_db(link.protocol()), geometry.fading);
-    run_cell(link, imp, n_productive, n, seed, cell, None)
+    let job = CellJob::at(link, geometry, n_productive, n, cell.to_string());
+    run_cells(seed, &[job]).pop().unwrap_or_default()
 }
 
-/// Runs up to `n` independent Monte-Carlo packets of one experiment
-/// cell under `imp` on the `msc-par` pool, in [`TrialBatch`] chunks of
-/// [`crate::engine::batch`] trials — the one engine every overlay-link
-/// cell runs on.
-///
-/// The cell's clean excitation is prepared exactly once
-/// ([`crate::wavecache::CellExcitation`]): the productive payload comes
-/// from the cell's own RNG stream `(seed, cell, u64::MAX)` and the
-/// carrier is shared read-only across trials and threads. Each packet
-/// then draws its tag bits and channel realization from its own RNG
-/// seeded by `(seed, cell, index)`, so the outcomes — and therefore
-/// every downstream table — are bit-identical at any thread count and
-/// batch width, with the waveform cache on or off, and with the flight
-/// recorder armed or not. `cell` names the experiment cell (e.g.
-/// `"fig13/zigbee/8m"`) and keeps seeds disjoint across cells that
-/// share a numeric seed.
-///
-/// With a `policy`, trials run in waves along the [`checkpoints`]
-/// schedule and the cell halts — never below `policy.floor`, and only
-/// when [`crate::engine::early_stop`] is on — once `policy.decide`
-/// reports the verdict settled. Trials that do run are bit-identical to
-/// a full run's prefix, so stopping changes only how many trials a cell
-/// consumes, not what any trial computes.
+/// One cell: [`run_cells`] with a single job. Cell events are emitted
+/// on the calling thread once the cell is done, as for any sweep.
 pub fn run_cell(
     link: &AnyLink,
     imp: Impairments,
@@ -634,110 +663,209 @@ pub fn run_cell(
     cell: &str,
     policy: Option<&StopPolicy>,
 ) -> Vec<PacketOutcome> {
-    // A replay run narrows the trial range, not the engine: its target
-    // cell rebuilds the one trial under investigation as a length-1
-    // batch at the bundle's index; every other cell runs no trials.
-    // Only the target's flight record matters, and the report the
-    // runner builds from these outcomes is discarded.
-    let replay = msc_obs::flight::replay_target();
-    if replay.as_ref().is_some_and(|(target_cell, _)| target_cell != cell) {
-        return Vec::new();
+    let job = CellJob {
+        policy: policy.copied(),
+        ..CellJob::new(link, imp, n_productive, n, cell.to_string())
+    };
+    run_cells(seed, &[job]).pop().unwrap_or_default()
+}
+
+/// A cell's engine state across the rounds of [`run_cells`].
+struct CellRun<'j, 'a> {
+    job: &'j CellJob<'a>,
+    exc: crate::wavecache::CellExcitation,
+    cellh: u64,
+    crn_hash: Option<u64>,
+    modulator: TagOverlayModulator,
+    /// Checkpoints still ahead; the cell is done when this is empty.
+    plan: std::collections::VecDeque<usize>,
+    outs: Vec<PacketOutcome>,
+    /// Whether the policy halted the cell before `n`.
+    stopped: bool,
+}
+
+impl<'j, 'a> CellRun<'j, 'a> {
+    /// Prepares the cell's shared excitation and seed keys.
+    fn prepare(job: &'j CellJob<'a>, seed: u64, plan: Vec<usize>) -> Self {
+        let _prep = msc_obs::profile::scope("cell.prepare");
+        // The mode argument is unused: the link carries its parameters.
+        let exc = crate::wavecache::CellExcitation::prepare(
+            job.link,
+            Mode::Mode1,
+            job.n_productive,
+            seed,
+            &job.cell,
+        );
+        CellRun {
+            job,
+            exc,
+            cellh: msc_par::hash_label(&job.cell),
+            // Cells of one CRN group draw their channel streams from
+            // the group label, with or without early stopping, so
+            // stopping changes trial counts only.
+            crn_hash: job.policy.and_then(|p| p.crn_group).map(msc_par::hash_label),
+            modulator: job.link.modulator(),
+            plan: plan.into(),
+            outs: Vec::with_capacity(job.n),
+            stopped: false,
+        }
     }
 
-    // Cell boundary events run on the (sequential) per-cell caller
-    // thread, so their order — and every field before "wall" — is
-    // thread-count invariant.
-    if msc_obs::events::enabled() {
+    /// Trials `start..start + count` as one [`TrialBatch`] on this
+    /// thread's pooled batch.
+    fn trials(&self, seed: u64, start: u64, count: usize) -> Vec<PacketOutcome> {
+        let (link, imp) = (self.job.link, self.job.imp);
+        let label = link.protocol().label();
+        BATCH_POOL.with(|tb| {
+            let mut tb = tb.borrow_mut();
+            metrics::time_stage(label, "modulate", || {
+                tb.materialize(
+                    &self.modulator,
+                    &self.exc,
+                    seed,
+                    self.cellh,
+                    self.crn_hash,
+                    start,
+                    count,
+                )
+            });
+            metrics::time_stage(label, "channel", || tb.apply_channel(imp));
+            let mut out = Vec::with_capacity(count);
+            tb.decode_into(link, &self.exc, imp.snr_db, &mut out);
+            out
+        })
+    }
+
+    /// Emits the cell's boundary events: `cell_start`, `early_stop`
+    /// when the policy halted it, and `cell_done`.
+    fn emit_events(&self) {
+        let (cell, n) = (msc_obs::export::json_escape(&self.job.cell), self.job.n);
+        let proto = self.job.link.protocol().label();
         msc_obs::events::emit(
             "cell_start",
-            &format!(
-                "\"cell\":\"{}\",\"proto\":\"{}\",\"requested\":{n}",
-                msc_obs::export::json_escape(cell),
-                link.protocol().label()
-            ),
+            &format!("\"cell\":\"{cell}\",\"proto\":\"{proto}\",\"requested\":{n}"),
+            "",
+        );
+        let trials = self.outs.len();
+        if self.stopped {
+            msc_obs::events::emit(
+                "early_stop",
+                &format!("\"cell\":\"{cell}\",\"trials\":{trials},\"requested\":{n}"),
+                "",
+            );
+        }
+        msc_obs::events::emit(
+            "cell_done",
+            &format!("\"cell\":\"{cell}\",\"trials\":{trials},\"requested\":{n}"),
             "",
         );
     }
+}
 
-    let exc = {
-        let _prep = msc_obs::profile::scope("cell.prepare");
-        // The mode argument is unused: the link carries its parameters.
-        crate::wavecache::CellExcitation::prepare(link, Mode::Mode1, n_productive, seed, cell)
-    };
-    let label = link.protocol().label();
-    let cellh = msc_par::hash_label(cell);
-    // Cells of one CRN group draw their channel streams from the group
-    // label, with or without early stopping, so stopping changes trial
-    // counts only.
-    let crn_hash = policy.and_then(|p| p.crn_group).map(msc_par::hash_label);
-    let modulator = link.modulator();
-    let batch = crate::engine::batch();
-
-    // Trials `start..start + count`, in `batch`-wide chunks on the pool.
-    let run_trials = |start: u64, count: usize| -> Vec<PacketOutcome> {
-        let chunks = msc_par::par_map_indexed(count.div_ceil(batch), |b| {
-            let lo = start + (b * batch) as u64;
-            let len = batch.min(count - b * batch);
-            BATCH_POOL.with(|tb| {
-                let mut tb = tb.borrow_mut();
-                metrics::time_stage(label, "modulate", || {
-                    tb.materialize(&modulator, &exc, seed, cellh, crn_hash, lo, len)
-                });
-                metrics::time_stage(label, "channel", || tb.apply_channel(imp));
-                let mut wave = Vec::with_capacity(len);
-                tb.decode_into(link, &exc, imp.snr_db, &mut wave);
-                wave
-            })
-        });
-        chunks.into_iter().flatten().collect()
-    };
-    if let Some((_, index)) = replay {
-        return run_trials(index, 1);
+/// Runs a sweep of independent overlay-link cells on the `msc-par`
+/// pool, in [`TrialBatch`] chunks of [`crate::engine::batch`] trials,
+/// and returns each job's outcomes in job order — the one engine every
+/// overlay-link cell runs on.
+///
+/// Each cell's clean excitation is prepared exactly once, on the
+/// calling thread ([`crate::wavecache::CellExcitation`]): the
+/// productive payload comes from the cell's own RNG
+/// stream `(seed, cell, u64::MAX)` and the carrier is shared read-only
+/// across trials and threads. Each packet then draws its tag bits and
+/// channel realization from its own RNG seeded by `(seed, cell,
+/// index)`, so the outcomes — and therefore every downstream table —
+/// are bit-identical at any thread count and batch width, with the
+/// waveform cache on or off, with the flight recorder armed or not, and
+/// whichever other cells share the sweep.
+///
+/// The sweep runs in rounds. Each round advances every unfinished cell
+/// to its next checkpoint and puts all of the round's `(cell, batch)`
+/// items into one `par_map` call, so a round of many small cells fills
+/// the pool. A cell without a policy (or with early stopping off, see
+/// [`crate::engine::early_stop`]) has one checkpoint, `n`; with a
+/// policy it follows the [`checkpoints`] schedule from `policy.floor`
+/// and halts once `policy.decide` reports the verdict settled. That
+/// decision is each cell's own, at the same checkpoints on the same
+/// trials as a cell run alone, so stopping changes only how many trials
+/// a cell consumes, not what any trial computes.
+///
+/// Cell events (`cell_start`, `early_stop`, `cell_done`) and the
+/// progress counts are emitted here, on the calling thread after the
+/// fan-out, per cell in job order — so the event stream is
+/// thread-count invariant.
+///
+/// A replay run (a flight-recorder target is set) narrows the trial
+/// range, not the engine: only the target cell runs, rebuilding the one
+/// trial under investigation as a length-1 batch at the bundle's index;
+/// every other cell runs no trials and no events are emitted. Only the
+/// target's flight record matters, and the report the runner builds
+/// from these outcomes is discarded.
+pub fn run_cells(seed: u64, jobs: &[CellJob]) -> Vec<Vec<PacketOutcome>> {
+    if let Some((target, index)) = msc_obs::flight::replay_target() {
+        let replay = |job| CellRun::prepare(job, seed, Vec::new()).trials(seed, index, 1);
+        return jobs
+            .iter()
+            .map(|job| if job.cell == target { replay(job) } else { Vec::new() })
+            .collect();
     }
 
-    let stopping = policy.filter(|_| crate::engine::early_stop());
-    let plan = match stopping {
-        Some(p) => checkpoints(n, p.floor),
-        None => vec![n],
-    };
-    let mut outs: Vec<PacketOutcome> = Vec::with_capacity(n);
-    for &target in &plan {
-        let count = target - outs.len();
-        if count == 0 {
-            continue;
-        }
-        outs.extend(run_trials(outs.len() as u64, count));
-        if let Some(p) = stopping {
-            if outs.len() < n && (p.decide)(&outs) {
-                if msc_obs::events::enabled() {
-                    msc_obs::events::emit(
-                        "early_stop",
-                        &format!(
-                            "\"cell\":\"{}\",\"trials\":{},\"requested\":{n}",
-                            msc_obs::export::json_escape(cell),
-                            outs.len()
-                        ),
-                        "",
-                    );
+    let stopping = crate::engine::early_stop();
+    // Preparing on the caller keeps carrier synthesis on its warm
+    // thread-local plans and the cached carriers in its heap: fanned
+    // out, it was slower and raised the fleet workload's peak RSS from
+    // about 61 to 70 MiB (2-core AMD EPYC VM).
+    let mut runs: Vec<CellRun> = jobs
+        .iter()
+        .map(|job| {
+            let plan = match job.policy.filter(|_| stopping) {
+                Some(p) => checkpoints(job.n, p.floor),
+                None => vec![job.n],
+            };
+            CellRun::prepare(job, seed, plan)
+        })
+        .collect();
+    let batch = crate::engine::batch();
+    while runs.iter().any(|run| !run.plan.is_empty()) {
+        // This round's items: every unfinished cell's trials up to its
+        // next checkpoint, in `batch`-wide chunks `(cell, start, len)`.
+        let mut items: Vec<(usize, usize, usize)> = Vec::new();
+        for (c, run) in runs.iter().enumerate() {
+            if let Some(&target) = run.plan.front() {
+                let mut lo = run.outs.len();
+                while lo < target {
+                    let len = batch.min(target - lo);
+                    items.push((c, lo, len));
+                    lo += len;
                 }
-                break;
+            }
+        }
+        let chunks = msc_par::par_map(&items, |&(c, lo, len)| runs[c].trials(seed, lo as u64, len));
+        for (&(c, _, _), chunk) in items.iter().zip(chunks) {
+            runs[c].outs.extend(chunk);
+        }
+        for run in runs.iter_mut() {
+            if run.plan.pop_front().is_none() {
+                continue;
+            }
+            if let Some(p) = run.job.policy.filter(|_| stopping) {
+                if run.outs.len() < run.job.n && (p.decide)(&run.outs) {
+                    run.stopped = true;
+                    run.plan.clear();
+                }
             }
         }
     }
-    msc_obs::progress::add_cell();
-    msc_obs::progress::add_trials(outs.len() as u64);
-    if msc_obs::events::enabled() {
-        msc_obs::events::emit(
-            "cell_done",
-            &format!(
-                "\"cell\":\"{}\",\"trials\":{},\"requested\":{n}",
-                msc_obs::export::json_escape(cell),
-                outs.len()
-            ),
-            "",
-        );
-    }
-    outs
+
+    runs.into_iter()
+        .map(|run| {
+            msc_obs::progress::add_cell();
+            msc_obs::progress::add_trials(run.outs.len() as u64);
+            if msc_obs::events::enabled() {
+                run.emit_events();
+            }
+            run.outs
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@ use crate::pipeline::AnyLink;
 use msc_core::overlay::Mode;
 use msc_core::tag::payload_start_seconds;
 use msc_dsp::IqBuf;
+use msc_fleet::link::LinkTable;
 use msc_obs::metrics;
 use msc_phy::protocol::Protocol;
 use rand::rngs::StdRng;
@@ -77,13 +78,42 @@ pub fn stats() -> CacheStats {
     }
 }
 
+/// Fleet link tables calibrated from cached waveforms, keyed by the
+/// calibration's `(n, seed)`.
+fn link_tables() -> &'static Mutex<HashMap<(usize, u64), LinkTable>> {
+    static TABLES: OnceLock<Mutex<HashMap<(usize, u64), LinkTable>>> = OnceLock::new();
+    TABLES.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
 /// Enables or disables the global waveform cache (`paper
-/// --no-wave-cache`). Disabling also drops every cached waveform, so a
-/// re-enable starts cold. Results are identical either way; only the
-/// synthesis work changes.
+/// --no-wave-cache`). Either call also drops every cached waveform and
+/// memoized link table, so the cache starts cold. Results are
+/// identical either way; only the synthesis work changes.
 pub fn set_waveform_cache(enabled: bool) {
     ENABLED.store(enabled, Ordering::SeqCst);
     cache().lock().unwrap().clear();
+    link_tables().lock().unwrap().clear();
+}
+
+/// The fleet link table for `(n, seed)`, from `calibrate` on first use.
+///
+/// The table is a pure function of `(n, seed)` — the cells it runs are
+/// seeded per trial and never stop early — so the cache may keep it
+/// for the rest of the run: `paper all` calibrates once for `fleet`,
+/// `fleet-scale` and `fleet-timeline`. It lives and dies with the
+/// waveforms: [`set_waveform_cache`] drops it, with the cache off it
+/// is recomputed on every call, and a replay run (which runs only its
+/// target trial) never stores one.
+pub fn link_table(n: usize, seed: u64, calibrate: impl FnOnce() -> LinkTable) -> LinkTable {
+    if !waveform_cache_enabled() || msc_obs::flight::replay_target().is_some() {
+        return calibrate();
+    }
+    if let Some(table) = link_tables().lock().unwrap().get(&(n, seed)) {
+        return table.clone();
+    }
+    let table = calibrate();
+    link_tables().lock().unwrap().insert((n, seed), table.clone());
+    table
 }
 
 /// Whether the waveform cache is currently enabled.

@@ -2,8 +2,8 @@
 //! other volatile field — they all live inside the `"wall"` fragment)
 //! stripped, the stream a fleet run emits is byte-identical at any
 //! thread count, because every deterministic event is emitted either
-//! from the sequential MAC sweep or from the sequential caller thread
-//! of the cell pipeline. And the sink is purely observational: opening
+//! from the sequential MAC sweep or by the cell sweep's caller after the
+//! fan-out, per cell in job order. And the sink is purely observational: opening
 //! it must not change the report by a byte (which is also why the
 //! events flag stays outside the archive config hash).
 

@@ -1,6 +1,7 @@
 //! Flight-recorder end-to-end contract: a decode failure captured
 //! during a run yields a bundle whose replay reproduces the identical
-//! matcher scores and verdict — at any thread count.
+//! matcher scores and verdict — at any thread count — and which
+//! failures a run keeps under the dump cap does not depend on it.
 
 use msc_obs::flight::{self, FlightConfig};
 
@@ -45,6 +46,31 @@ fn forced_decode_failure_replays_identically_at_1_and_8_threads() {
 }
 
 #[test]
+fn capped_dumps_are_the_same_trials_at_any_thread_count() {
+    let _guard = flight::tests_serial();
+    // abl-cfo at n = 48 fails more trials than the 32-dump cap keeps
+    // (ZigBee aliases 48.8 kHz), and its 24 cells fan out together.
+    let kept = |threads: usize| {
+        msc_par::set_threads(threads);
+        flight::arm(FlightConfig::default());
+        msc_obs::metrics::set_experiment("abl-cfo");
+        let _ = msc_sim::experiments::ablations::abl_cfo(48, 42);
+        let suppressed = flight::stats().suppressed;
+        let ids: Vec<(String, u64)> =
+            flight::take_dumps().into_iter().map(|d| (d.record.cell, d.record.index)).collect();
+        flight::disarm();
+        (ids, suppressed)
+    };
+    let one = kept(1);
+    assert_eq!(one.0.len(), FlightConfig::default().max_dumps);
+    assert!(one.1 > 0, "the run must overflow the dump cap");
+    for threads in [2, 8] {
+        assert_eq!(kept(threads), one, "retained dumps moved at {threads} threads");
+    }
+    msc_par::set_threads(0);
+}
+
+#[test]
 fn tampered_bundle_is_reported_as_mismatch() {
     let _guard = flight::tests_serial();
     msc_par::set_threads(2);
@@ -80,37 +106,55 @@ fn id_miss_trials_are_recorded_for_identification_experiments() {
     assert_eq!(miss.record.scores.len(), 4, "{:?}", miss.record.scores);
 }
 
-#[test]
-fn paper_binary_writes_bundles_and_replays_them() {
+/// Runs `paper <args> --no-progress --metrics-out <dir>` and replays
+/// the first and last bundle it wrote at 1 and 8 threads.
+fn paper_bundles_replay(args: &[&str], tag: &str) {
     use std::process::Command;
-    let dir = std::env::temp_dir().join(format!("msc-flight-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("msc-flight-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let out = Command::new(env!("CARGO_BIN_EXE_paper"))
-        .args(["fig13", "2", "7", "--no-progress", "--metrics-out"])
+        .args(args)
+        .args(["--no-progress", "--metrics-out"])
         .arg(&dir)
         .output()
         .expect("run paper");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let bundles: Vec<_> = std::fs::read_dir(dir.join("flight"))
+    let mut bundles: Vec<_> = std::fs::read_dir(dir.join("flight"))
         .expect("flight dir exists")
         .map(|e| e.unwrap().path())
         .collect();
+    bundles.sort();
     assert!(!bundles.is_empty(), "no bundles written");
 
-    for threads in ["1", "8"] {
-        let replay = Command::new(env!("CARGO_BIN_EXE_paper"))
-            .args(["replay"])
-            .arg(&bundles[0])
-            .args(["--threads", threads])
-            .output()
-            .expect("run replay");
-        let stdout = String::from_utf8_lossy(&replay.stdout);
-        assert!(
-            replay.status.success() && stdout.contains("REPRODUCED"),
-            "replay at {threads} threads: status {:?}\nstdout: {stdout}\nstderr: {}",
-            replay.status,
-            String::from_utf8_lossy(&replay.stderr)
-        );
+    for bundle in [&bundles[0], &bundles[bundles.len() - 1]] {
+        for threads in ["1", "8"] {
+            let replay = Command::new(env!("CARGO_BIN_EXE_paper"))
+                .args(["replay"])
+                .arg(bundle)
+                .args(["--threads", threads])
+                .output()
+                .expect("run replay");
+            let stdout = String::from_utf8_lossy(&replay.stdout);
+            assert!(
+                replay.status.success() && stdout.contains("REPRODUCED"),
+                "replay of {} at {threads} threads: status {:?}\nstdout: {stdout}\nstderr: {}",
+                bundle.display(),
+                replay.status,
+                String::from_utf8_lossy(&replay.stderr)
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn paper_binary_writes_bundles_and_replays_them() {
+    paper_bundles_replay(&["fig13", "2", "7"], "fig13-2");
+}
+
+#[test]
+fn bundles_from_a_two_thread_sweep_replay() {
+    // At n = 24 the 32 fig13 cells fan out together round by round;
+    // a failure recorded from that sweep still replays alone.
+    paper_bundles_replay(&["fig13", "24", "42", "--threads", "2"], "fig13-24");
 }

@@ -2,9 +2,10 @@
 //! experiment prints is byte-identical across thread counts, cache
 //! switches, and every observability switch — metrics export with the
 //! flight recorder armed, the span profiler, and the event stream.
-//! fig13 (early-stopped CRN cells on the cell engine), fig15 (plain
-//! engine cells beside hand-rolled baseline trials), and abl-gamma (a
-//! hand-rolled per-trial runner) cover the three kinds of trial loop.
+//! fig13 (early-stopped CRN cells on the cell engine), fig12 (a
+//! (protocol × mode) sweep of plain engine cells), fig15 (engine cells
+//! beside hand-rolled baseline trials), and abl-gamma (an SNR × γ sweep)
+//! cover the kinds of trial loop.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -64,6 +65,11 @@ fn assert_invariant(exp: &str) {
 #[test]
 fn fig13_report_is_observation_invariant() {
     assert_invariant("fig13");
+}
+
+#[test]
+fn fig12_report_is_observation_invariant() {
+    assert_invariant("fig12");
 }
 
 #[test]
