@@ -423,6 +423,41 @@ pub fn complex_sliding_corr(samples: &[Complex64], probe: &[Complex64]) -> Vec<C
     sa[..=n - l].to_vec()
 }
 
+/// [`complex_sliding_corr`] against a probe made of `reps` back-to-back
+/// copies of `period`, for the first `n_out` offsets only:
+/// `out[off] = Σ_r Σ_i samples[off + r·P + i] · conj(period[i])`.
+///
+/// A periodic probe of length `reps·P` is `reps` copies of one `P`-tap
+/// filter spaced `P` samples apart, so the long matched filter is one
+/// short sliding correlation (into pooled scratch) plus `reps` adds per
+/// offset — far cheaper than an FFT of the whole buffer when only a
+/// prefix of offsets is scanned. `n_out` is clamped to the full-overlap
+/// offsets the buffer has.
+pub fn periodic_sliding_corr(
+    samples: &[Complex64],
+    period: &[Complex64],
+    reps: usize,
+    n_out: usize,
+) -> Vec<Complex64> {
+    let p = period.len();
+    let l = p * reps;
+    if l == 0 || samples.len() < l {
+        return Vec::new();
+    }
+    let n_out = n_out.min(samples.len() - l + 1);
+    // Short-filter outputs at every offset some repetition touches.
+    let mut partial = plan::cbuf();
+    partial.extend((0..n_out + l - p).map(|j| {
+        samples[j..j + p]
+            .iter()
+            .zip(period)
+            .fold(Complex64::ZERO, |acc, (&s, &t)| acc + s * t.conj())
+    }));
+    (0..n_out)
+        .map(|off| (0..reps).fold(Complex64::ZERO, |acc, r| acc + partial[off + r * p]))
+        .collect()
+}
+
 /// Per-offset signal energies for a sliding window of length `l`:
 /// `out[off] = Σ_i |samples[off+i]|²`, from one prefix-sum pass.
 pub fn sliding_energy(samples: &[Complex64], l: usize) -> Vec<f64> {

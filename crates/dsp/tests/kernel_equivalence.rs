@@ -4,9 +4,10 @@
 //! direct code they replaced.
 
 use msc_dsp::corr::{
-    normalized_corr, quantized_corr, sign_quantize, sliding_corr, sliding_corr_direct,
-    sliding_corr_fft, PackedBits,
+    complex_sliding_corr, normalized_corr, periodic_sliding_corr, quantized_corr, sign_quantize,
+    sliding_corr, sliding_corr_direct, sliding_corr_fft, PackedBits,
 };
+use msc_dsp::Complex64;
 use proptest::prelude::*;
 
 /// The pre-rewrite sliding correlation: a full `normalized_corr` per
@@ -73,7 +74,7 @@ proptest! {
         taps in prop::collection::vec(-1.0f64..1.0, 2..160),
     ) {
         let n = re.len().min(im.len());
-        let signal: Vec<msc_dsp::Complex64> =
+        let signal: Vec<Complex64> =
             re[..n].iter().zip(&im[..n]).map(|(&r, &i)| msc_dsp::Complex64::new(r, i)).collect();
         let fir = msc_dsp::Fir::new(taps);
         let direct = fir.convolve_direct(&signal);
@@ -94,6 +95,30 @@ proptest! {
         let naive = sliding_corr_naive(&signal, &template);
         for (off, (a, n)) in auto.iter().zip(&naive).enumerate() {
             prop_assert!((a - n).abs() <= 1e-9, "offset {}: {} vs {}", off, a, n);
+        }
+    }
+
+    #[test]
+    fn periodic_sliding_corr_matches_full_probe(
+        re in prop::collection::vec(-1.0f64..1.0, 200..1200),
+        im in prop::collection::vec(-1.0f64..1.0, 200..1200),
+        period in prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 1..24),
+        reps in 1usize..12,
+        n_out in 0usize..1400,
+    ) {
+        // An exactly periodic probe: `reps` copies of `period`. The
+        // periodic kernel must agree with the full-probe correlation on
+        // every offset it returns, and return min(n_out, offsets).
+        let n = re.len().min(im.len());
+        let samples: Vec<Complex64> =
+            re[..n].iter().zip(&im[..n]).map(|(&r, &i)| Complex64::new(r, i)).collect();
+        let period: Vec<Complex64> = period.iter().map(|&(r, i)| Complex64::new(r, i)).collect();
+        let probe: Vec<Complex64> = period.iter().cycle().take(period.len() * reps).copied().collect();
+        let full = complex_sliding_corr(&samples, &probe);
+        let fast = periodic_sliding_corr(&samples, &period, reps, n_out);
+        prop_assert_eq!(fast.len(), n_out.min(full.len()));
+        for (off, (f, d)) in fast.iter().zip(&full).enumerate() {
+            prop_assert!((*f - *d).abs() <= 1e-9, "offset {}: {:?} vs {:?}", off, f, d);
         }
     }
 }

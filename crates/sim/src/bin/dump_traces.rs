@@ -89,7 +89,7 @@ fn dump_constellation(out: &mut impl Write) {
     let tag = TagOverlayModulator::new(Protocol::WifiN, params);
     let start = (payload_start_seconds(Protocol::WifiN) * carrier.rate().as_hz()).round() as usize;
     let modulated = tag.modulate(&carrier, start, &[1, 0, 1, 0, 1, 0, 1, 0]);
-    let dec = WifiNDemodulator::new().demodulate(&modulated).expect("decode");
+    let dec = WifiNDemodulator::new().receive(&modulated).expect("decode");
     writeln!(out, "symbol,subcarrier,i,q").unwrap();
     for (s, points) in dec.symbol_points.iter().enumerate().take(8) {
         for (k, pt) in points.iter().enumerate() {
