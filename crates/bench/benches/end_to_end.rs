@@ -33,7 +33,7 @@ fn bench_experiment_cell(c: &mut Criterion) {
     // work). Set `--threads` via msc_par::set_threads before running to
     // measure scaling; the default is available parallelism.
     let mut group = c.benchmark_group("experiment_cell");
-    for p in [Protocol::Ble, Protocol::ZigBee] {
+    for p in [Protocol::WifiN, Protocol::Ble, Protocol::ZigBee] {
         let link = AnyLink::new(p, Mode::Mode1);
         group.bench_with_input(BenchmarkId::from_parameter(p.label()), &link, |b, link| {
             let geo = Geometry::los(8.0);
@@ -50,7 +50,7 @@ fn bench_trial_batch(c: &mut Criterion) {
     // engine mechanics — SoA materialization, one-pass channel
     // kernels, windowed sync — not the stopping rule.
     let mut group = c.benchmark_group("trial_batch");
-    for p in [Protocol::Ble, Protocol::ZigBee] {
+    for p in [Protocol::WifiN, Protocol::Ble, Protocol::ZigBee] {
         let link = AnyLink::new(p, Mode::Mode1);
         for width in [1usize, 8] {
             group.bench_with_input(

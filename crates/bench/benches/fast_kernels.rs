@@ -6,8 +6,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use msc_dsp::corr::{
-    dc_estimate, normalized_corr, quantized_corr, sign_quantize, sliding_corr_direct,
-    sliding_corr_fft, PackedBits,
+    complex_sliding_corr, dc_estimate, normalized_corr, periodic_sliding_corr, quantized_corr,
+    sign_quantize, sliding_corr_direct, sliding_corr_fft, sliding_energy, PackedBits,
 };
 
 /// Deterministic pseudo-random test signal (no rand dependency in the
@@ -74,9 +74,38 @@ fn bench_fft_sliding(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_stf_sync(c: &mut Criterion) {
+    // The 802.11n L-STF sync's correlate + energy step on one overlay
+    // packet as the link cells carry it (5,840 samples): the 160-tap
+    // FFT matched filter over the whole buffer, against the 16-tap
+    // periodic form over the 4000 offsets the sync scans.
+    use msc_core::overlay::{params_for, Mode};
+    use msc_phy::protocol::Protocol;
+    let link = msc_rx::WifiNOverlayLink::new(params_for(Protocol::WifiN, Mode::Mode1));
+    let carrier = link.make_carrier(&[1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0]);
+    let samples = carrier.samples();
+    assert_eq!(samples.len(), 5840, "link-cell packet length");
+    // The L-STF opens the frame: ten copies of its 16-sample period.
+    let (probe, period) = (&samples[..160], &samples[..16]);
+    let mut group = c.benchmark_group("stf_sync_5840");
+    group.bench_function("fft_matched_filter", |bench| {
+        bench.iter(|| {
+            let accs = complex_sliding_corr(black_box(samples), probe);
+            (accs, sliding_energy(samples, 160))
+        })
+    });
+    group.bench_function("periodic_16tap", |bench| {
+        bench.iter(|| {
+            let accs = periodic_sliding_corr(black_box(samples), period, 10, 4000);
+            (accs, sliding_energy(&samples[..4000 + 159], 160))
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_packed, bench_sliding, bench_fft_sliding
+    targets = bench_packed, bench_sliding, bench_fft_sliding, bench_stf_sync
 }
 criterion_main!(benches);

@@ -41,6 +41,11 @@ fn bench_wifi_n(c: &mut Criterion) {
     c.bench_function("wifi_n_demodulate_400b", |b| {
         b.iter(|| WifiNDemodulator::new().demodulate(black_box(&tx)).unwrap())
     });
+    // The front half alone (sync through demap, no Viterbi): what the
+    // overlay link runs per packet.
+    c.bench_function("wifi_n_receive_400b", |b| {
+        b.iter(|| WifiNDemodulator::new().receive(black_box(&tx)).unwrap())
+    });
 }
 
 fn bench_ble(c: &mut Criterion) {
